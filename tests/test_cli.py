@@ -1,3 +1,4 @@
+import hashlib
 import importlib.metadata
 import json
 import os
@@ -202,6 +203,85 @@ class TestSimulateCommand:
         assert manifest["subcommand"] == "simulate"
         assert manifest["seed"] == 9
         assert manifest["parameters"]["truth"] == "A+1"
+
+
+GOLDEN_INPUTS = {
+    "one_way": ONE_WAY_CSV,
+    "two_way": TWO_WAY_CSV,
+    "one_way_noisy": (
+        "level,value\n"
+        "x,0.5\nx,1.7\nx,1.1\n"
+        "y,2.0\ny,3.1\ny,2.2\n"
+        "z,0.2\nz,1.0\nz,-0.4\n"
+    ),
+}
+
+# argv -> SHA-256 of the exact stdout bytes; {name} stands for the path
+# of the GOLDEN_INPUTS file of that name
+GOLDEN_ARGV = {
+    "bf-one-way-json": ["bf", "one-way", "--input", "{one_way}", "--json"],
+    "bf-one-way-csv": ["bf", "one-way", "--input", "{one_way}", "--csv"],
+    "bf-one-way-noisy-json": ["bf", "one-way", "--input", "{one_way_noisy}", "--json"],
+    "bf-one-way-noisy-csv": ["bf", "one-way", "--input", "{one_way_noisy}", "--csv"],
+    "bf-two-way-json": ["bf", "two-way", "--input", "{two_way}", "--json"],
+    "bf-two-way-csv": ["bf", "two-way", "--input", "{two_way}", "--csv"],
+    "oracle-closure": ["oracle", "check", "--p", "3", "--r", "2", "--ratio", "0.5"],
+    "oracle-off-closure": [
+        "oracle", "check", "--p", "3", "--r", "2", "--ratio", "0.5", "--a", "0", "--b", "0",
+    ],
+    "consistency-h": ["consistency", "h", "--r", "5"],
+    "consistency-two-way": ["consistency", "two-way", "--r", "2", "--cab", "3"],
+    "consistency-mse-gap": ["consistency", "mse-gap", "--p", "5", "--r", "10", "--effect", "0.5"],
+    "simulate-ma1-grid": [
+        "simulate", "--truth", "ma1", "--p", "2", "--p", "4", "--r", "2", "--r", "3",
+        "--ca", "0.5", "--ca", "2", "--reps", "60", "--seed", "11",
+    ],
+    "simulate-m1-bic": [
+        "simulate", "--truth", "m1", "--p", "3", "--r", "2", "--r", "5",
+        "--reps", "80", "--seed", "4", "--criteria", "bic",
+    ],
+}
+
+GOLDEN_SHA256 = {
+    "bf-one-way-json": "03ed5c19c07ddc3afea202e878170bfc13daa5a735d168d49d91f87dc1f400e6",
+    "bf-one-way-csv": "4c78d1bbe981ed7d6583ce3ba6f791dd61c105f100bb24f9f1af911e4877b570",
+    "bf-one-way-noisy-json": "7b7b216b7fa1c8889f3dc98e35330fdcc4cf9f67895d7704e6bfb22a026c8e42",
+    "bf-one-way-noisy-csv": "69bf37702cd2a59bb0930dbb7808bc097751b5ccf47943e110ae7ae8a23c64d9",
+    "bf-two-way-json": "49ef6ba2896b13b4eb71d0e87fa6387acce0b1005ddc4d63b3199d2a2d7fb985",
+    "bf-two-way-csv": "320d8b272c35d40e122ee459515d76c2e84d7ab19d0f7b020221676dafaa72fe",
+    "oracle-closure": "2a7988efb3e49d9ca0b1b3dc2eb6838c1da7c5d55a7f47c8b67a89809521665f",
+    "oracle-off-closure": "7e14887391b4aa2ce2bc0e1cfcdfd69701de09c639ed10587a36b91b96da50b5",
+    "consistency-h": "a6823b28288b751efed1de943e23458defbaff9ed8fe919fa094eec0bb2055cf",
+    "consistency-two-way": "dd01a7e31acb70bc5df1f87a3d059b45c1263a7519589446a6f184987811d920",
+    "consistency-mse-gap": "3f63a72f4c59774a58eca6336bdf61813653be9aaac91d1a102e977d2ec6878a",
+    "simulate-ma1-grid": "58cabd51ed57c4f6af49aacaa1f4d87035ad4a7a1093227612ebe886d8f609f1",
+    "simulate-m1-bic": "8823ac3d29626774d9b48780894de24a1eaabbf945fb6859215798cd55290d34",
+}
+
+
+class TestGoldenOutputs:
+    """Exact output bytes of a fixed argv set, pinned across refactors."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        return {name: write(tmp_path, f"{name}.csv", text) for name, text in GOLDEN_INPUTS.items()}
+
+    def stdout_bytes(self, capsys, argv):
+        assert run(argv) == 0
+        return capsys.readouterr().out.encode("utf-8")
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_ARGV))
+    def test_stdout_bytes(self, case, inputs, capsys):
+        argv = [arg.format(**inputs) for arg in GOLDEN_ARGV[case]]
+        digest = hashlib.sha256(self.stdout_bytes(capsys, argv)).hexdigest()
+        assert digest == GOLDEN_SHA256[case]
+
+    @pytest.mark.parametrize("case", ["bf-two-way-csv", "simulate-ma1-grid"])
+    def test_out_file_equals_stdout(self, case, inputs, tmp_path, capsys):
+        argv = [arg.format(**inputs) for arg in GOLDEN_ARGV[case]]
+        out = tmp_path / "primary.out"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == self.stdout_bytes(capsys, argv)
 
 
 class TestInstalledEntryPoints:
