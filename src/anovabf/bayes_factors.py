@@ -40,9 +40,6 @@ class Criterion(str, enum.Enum):
     BIC = "bic"
 
 
-TWO_WAY_ALTERNATIVES = (Model.FACTOR_A, Model.FACTOR_B, Model.ADDITIVE, Model.FULL)
-
-
 @dataclass(frozen=True)
 class BayesFactorReport:
     """Both log Bayes factors for one alternative, plus the decisions."""
@@ -84,73 +81,6 @@ def _log_bf_bic_kernel(n: int, s1: int, ratio: float) -> float:
     return -(n / 2.0) * math.log(ratio) - ((s1 - 1) / 2.0) * math.log(n)
 
 
-def _one_way_ratio(ss: OneWaySS) -> float:
-    total = ss.w_e + ss.w_h
-    if total == 0.0:
-        raise DegenerateDataError("total sum of squares is zero")
-    return min(max(ss.w_e / total, 0.0), 1.0)
-
-
-def _two_way_ratio(ss: TwoWaySS, m: Model) -> float:
-    """Residual share of the total left by alternative m, from component sums.
-
-    Building the numerator from the components (rather than 1 - explained/total)
-    keeps the ratio inside [0, 1] without cancellation.
-    """
-    total = ss.w_a + ss.w_b + ss.w_ab + ss.w_e
-    if total == 0.0:
-        raise DegenerateDataError("total sum of squares is zero")
-    if m is Model.FACTOR_A:
-        numerator = ss.w_b + ss.w_ab + ss.w_e
-    elif m is Model.FACTOR_B:
-        numerator = ss.w_a + ss.w_ab + ss.w_e
-    elif m is Model.ADDITIVE:
-        numerator = ss.w_ab + ss.w_e
-    elif m is Model.FULL:
-        numerator = ss.w_e
-    else:
-        raise DomainError(f"{m!r} is not a two-way alternative model")
-    return min(max(numerator / total, 0.0), 1.0)
-
-
-def _two_way_mean_params(p: int, q: int, m: Model) -> int:
-    if m is Model.FACTOR_A:
-        return p
-    if m is Model.FACTOR_B:
-        return q
-    if m is Model.ADDITIVE:
-        return p + q - 1
-    if m is Model.FULL:
-        return p * q
-    raise DomainError(f"{m!r} is not a two-way alternative model")
-
-
-def log_bf_fb_one_way(ss: OneWaySS, p: int, r: int) -> float:
-    """log fully-Bayes factor of the level-means model against the common mean."""
-    _check_design(p, r)
-    return _log_bf_fb_kernel(p * r, p, _one_way_ratio(ss))
-
-
-def log_bf_bic_one_way(ss: OneWaySS, p: int, r: int) -> float:
-    """log BIC-based Bayes factor of the level-means model against the common mean."""
-    _check_design(p, r)
-    return _log_bf_bic_kernel(p * r, p, _one_way_ratio(ss))
-
-
-def log_bf_fb_two_way(ss: TwoWaySS, p: int, q: int, r: int, m: Model) -> float:
-    """log fully-Bayes factor of two-way alternative m against the common mean."""
-    _check_design(p, r)
-    _check_design(q, r)
-    return _log_bf_fb_kernel(p * q * r, _two_way_mean_params(p, q, m), _two_way_ratio(ss, m))
-
-
-def log_bf_bic_two_way(ss: TwoWaySS, p: int, q: int, r: int, m: Model) -> float:
-    """log BIC-based Bayes factor of two-way alternative m against the common mean."""
-    _check_design(p, r)
-    _check_design(q, r)
-    return _log_bf_bic_kernel(p * q * r, _two_way_mean_params(p, q, m), _two_way_ratio(ss, m))
-
-
 def posterior_prob(log_bf: float) -> float:
     """Posterior probability of the alternative under equal prior odds.
 
@@ -176,54 +106,76 @@ def choose_model(log_bf: float, alternative: Model = Model.FACTOR_A) -> Model:
     return alternative if log_bf > 0 else Model.NULL
 
 
+def score(n: int, s1: int, residual: float, total: float, alternative: Model) -> BayesFactorReport:
+    """Both factors, the posterior and both choices for one alternative.
+
+    The alternative has s1 mean parameters among n observations and
+    leaves ``residual`` of the common-mean model's total sum of squares
+    unexplained.
+    """
+    if total == 0.0:
+        raise DegenerateDataError("total sum of squares is zero")
+    ratio = min(max(residual / total, 0.0), 1.0)
+    log_fb = _log_bf_fb_kernel(n, s1, ratio)
+    log_bic = _log_bf_bic_kernel(n, s1, ratio)
+    return BayesFactorReport(
+        log_bf_fb=log_fb,
+        log_bf_bic=log_bic,
+        posterior_prob_fb=posterior_prob(log_fb),
+        choice_fb=choose_model(log_fb, alternative),
+        choice_bic=choose_model(log_bic, alternative),
+        ss_ratio=ratio,
+    )
+
+
 def one_way_report(ss: OneWaySS, p: int, r: int) -> BayesFactorReport:
-    """Full decision report for a one-way layout."""
-    log_fb = log_bf_fb_one_way(ss, p, r)
-    log_bic = log_bf_bic_one_way(ss, p, r)
-    return BayesFactorReport(
-        log_bf_fb=log_fb,
-        log_bf_bic=log_bic,
-        posterior_prob_fb=posterior_prob(log_fb),
-        choice_fb=choose_model(log_fb, Model.FACTOR_A),
-        choice_bic=choose_model(log_bic, Model.FACTOR_A),
-        ss_ratio=_one_way_ratio(ss),
-    )
+    """Decision report for the level-means model against the common mean."""
+    _check_design(p, r)
+    return score(p * r, p, ss.w_e, ss.w_e + ss.w_h, Model.FACTOR_A)
 
 
-def two_way_report(ss: TwoWaySS, p: int, q: int, r: int, m: Model) -> BayesFactorReport:
-    """Decision report for one two-way alternative against the common mean."""
-    log_fb = log_bf_fb_two_way(ss, p, q, r, m)
-    log_bic = log_bf_bic_two_way(ss, p, q, r, m)
-    return BayesFactorReport(
-        log_bf_fb=log_fb,
-        log_bf_bic=log_bic,
-        posterior_prob_fb=posterior_prob(log_fb),
-        choice_fb=choose_model(log_fb, m),
-        choice_bic=choose_model(log_bic, m),
-        ss_ratio=_two_way_ratio(ss, m),
-    )
+def log_bf_fb_one_way(ss: OneWaySS, p: int, r: int) -> float:
+    """log fully-Bayes factor of the level-means model against the common mean."""
+    return one_way_report(ss, p, r).log_bf_fb
+
+
+def _two_way_fits(p: int, q: int) -> dict[Model, tuple[int, tuple[str, ...]]]:
+    """Mean-parameter count and residual components of each two-way alternative.
+
+    Summing the residual from the components (rather than taking
+    total - explained) keeps its share of the total inside [0, 1]
+    without cancellation.
+    """
+    return {
+        Model.FACTOR_A: (p, ("w_b", "w_ab", "w_e")),
+        Model.FACTOR_B: (q, ("w_a", "w_ab", "w_e")),
+        Model.ADDITIVE: (p + q - 1, ("w_ab", "w_e")),
+        Model.FULL: (p * q, ("w_e",)),
+    }
+
+
+def two_way_reports(ss: TwoWaySS, p: int, q: int, r: int) -> dict[Model, BayesFactorReport]:
+    """Decision report for every two-way alternative against the common mean."""
+    _check_design(p, r)
+    _check_design(q, r)
+    total = ss.w_a + ss.w_b + ss.w_ab + ss.w_e
+    return {
+        m: score(p * q * r, s1, sum(getattr(ss, c) for c in residual), total, m)
+        for m, (s1, residual) in _two_way_fits(p, q).items()
+    }
 
 
 def rank_two_way_models(
-    ss: TwoWaySS, p: int, q: int, r: int, criterion: Criterion = Criterion.FB
+    reports: dict[Model, BayesFactorReport], p: int, q: int
 ) -> list[tuple[Model, float]]:
-    """Rank all five models by log Bayes factor against the common mean.
+    """Rank the null and the reported alternatives by log fully-Bayes factor.
 
     The null sits at 0 by definition; under equal prior probabilities the
     ranking is the posterior ordering. Ties break toward fewer mean
     parameters. This extends the pairwise comparisons to a single
     selection.
     """
-    kernel = log_bf_fb_two_way if criterion is Criterion.FB else log_bf_bic_two_way
-    scored = [(Model.NULL, 0.0)]
-    for m in TWO_WAY_ALTERNATIVES:
-        scored.append((m, kernel(ss, p, q, r, m)))
-    params = {
-        Model.NULL: 1,
-        Model.FACTOR_A: p,
-        Model.FACTOR_B: q,
-        Model.ADDITIVE: p + q - 1,
-        Model.FULL: p * q,
-    }
-    scored.sort(key=lambda item: (-item[1], params[item[0]]))
+    mean_params = {Model.NULL: 1} | {m: s1 for m, (s1, _) in _two_way_fits(p, q).items()}
+    scored = [(Model.NULL, 0.0)] + [(m, report.log_bf_fb) for m, report in reports.items()]
+    scored.sort(key=lambda item: (-item[1], mean_params[item[0]]))
     return scored

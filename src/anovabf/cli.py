@@ -10,9 +10,7 @@ run manifest (which carries a timestamp) goes to a sidecar file next to
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import math
 import sys
@@ -21,20 +19,24 @@ from pathlib import Path
 
 from . import __version__
 from .bayes_factors import (
-    TWO_WAY_ALTERNATIVES,
     BayesFactorReport,
     Criterion,
     Model,
     log_bf_fb_one_way,
     one_way_report,
     rank_two_way_models,
-    two_way_report,
+    two_way_reports,
 )
 from .consistency import EffectSizes, h_threshold, predicted_mse_gap, two_way_consistency_window
-from .datasets import parse_one_way, parse_two_way
+from .datasets import parse_one_way, parse_two_way, write_csv
 from .errors import AnovaBFError, DomainError
 from .prior import BetaPrimePrior, bf_quadrature
-from .simulation import SimulationConfig, TruthSpec, run_frequency_experiment
+from .simulation import (
+    FREQUENCY_CSV_HEADER,
+    SimulationConfig,
+    TruthSpec,
+    run_frequency_experiment,
+)
 from .sums_of_squares import OneWaySS, one_way_ss, two_way_ss
 
 ORACLE_TOLERANCE = 1e-8
@@ -69,38 +71,6 @@ def _jsonify(value):
     return value
 
 
-def _report_dict(report: BayesFactorReport) -> dict:
-    return {
-        "log_bf_fb": report.log_bf_fb,
-        "log_bf_bic": report.log_bf_bic,
-        "posterior_prob_fb": report.posterior_prob_fb,
-        "choice_fb": report.choice_fb,
-        "choice_bic": report.choice_bic,
-        "ss_ratio": report.ss_ratio,
-    }
-
-
-def _report_csv(rows: list[tuple[str, BayesFactorReport]]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["model", "log_bf_fb", "log_bf_bic", "posterior_prob_fb", "choice_fb", "choice_bic", "ss_ratio"]
-    )
-    for tag, report in rows:
-        writer.writerow(
-            [
-                tag,
-                repr(report.log_bf_fb),
-                repr(report.log_bf_bic),
-                repr(report.posterior_prob_fb),
-                report.choice_fb.value,
-                report.choice_bic.value,
-                repr(report.ss_ratio),
-            ]
-        )
-    return out.getvalue()
-
-
 def _manifest(subcommand: str, params: dict, seed: int | None) -> dict:
     return {
         "subcommand": subcommand,
@@ -131,23 +101,19 @@ def _cmd_bf(args: argparse.Namespace) -> int:
     if args.layout == "one-way":
         dataset = parse_one_way(text)
         ss = one_way_ss(dataset)
-        report = one_way_report(ss, dataset.p, dataset.r)
+        reports = {Model.FACTOR_A: one_way_report(ss, dataset.p, dataset.r)}
         doc = {
             "design": "one-way",
             "p": dataset.p,
             "r": dataset.r,
             "n": dataset.n,
             "sums_of_squares": {"w_t": ss.w_t, "w_e": ss.w_e, "w_h": ss.w_h},
-            "report": _report_dict(report),
+            "report": reports[Model.FACTOR_A],
         }
-        csv_rows = [(Model.FACTOR_A.value, report)]
     else:
         dataset = parse_two_way(text)
         ss = two_way_ss(dataset)
-        reports = {
-            m: two_way_report(ss, dataset.p, dataset.q, dataset.r, m)
-            for m in TWO_WAY_ALTERNATIVES
-        }
+        reports = two_way_reports(ss, dataset.p, dataset.q, dataset.r)
         doc = {
             "design": "two-way",
             "p": dataset.p,
@@ -161,11 +127,15 @@ def _cmd_bf(args: argparse.Namespace) -> int:
                 "w_ab": ss.w_ab,
                 "w_e": ss.w_e,
             },
-            "reports": {m.value: _report_dict(rep) for m, rep in reports.items()},
-            "ranking_fb": rank_two_way_models(ss, dataset.p, dataset.q, dataset.r, Criterion.FB),
+            "reports": reports,
+            "ranking_fb": rank_two_way_models(reports, dataset.p, dataset.q),
         }
-        csv_rows = [(m.value, rep) for m, rep in reports.items()]
-    payload = _report_csv(csv_rows) if args.format == "csv" else _json_payload(doc)
+    if args.format == "csv":
+        header = ["model", *(f.name for f in dataclasses.fields(BayesFactorReport))]
+        rows = [_jsonify([m, *dataclasses.astuple(rep)]) for m, rep in reports.items()]
+        payload = write_csv(header, rows)
+    else:
+        payload = _json_payload(doc)
     manifest = _manifest(f"bf {args.layout}", {"input": args.input, "format": args.format}, None)
     _emit(payload, args.out, manifest)
     return 0
@@ -173,16 +143,23 @@ def _cmd_bf(args: argparse.Namespace) -> int:
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
     n = args.p * args.r
-    closure_b = (n - args.p) / 2.0 + 0.5 - 2.0
-    a = args.a if args.a is not None else -0.5
-    b = args.b if args.b is not None else (n - args.p) / 2.0 - a - 2.0
-    prior = BetaPrimePrior(a=a, b=b)
-    on_closure = a == -0.5 and abs(b - closure_b) < 1e-12
+    closure = BetaPrimePrior.for_closed_form(n, args.p)
+    a = closure.a if args.a is None else args.a
+    if args.b is None:
+        prior = BetaPrimePrior.for_closed_form(n, args.p, a)
+    else:
+        prior = BetaPrimePrior(a=a, b=args.b)
+    on_closure = prior.a == closure.a and abs(prior.b - closure.b) < 1e-12
 
     ss = OneWaySS(w_t=1.0, w_e=args.ratio, w_h=1.0 - args.ratio)
     log_closed = log_bf_fb_one_way(ss, args.p, args.r)
-    closed_bf = math.exp(log_closed)
-    quad_bf = bf_quadrature(n, args.p, args.ratio, prior)
+    try:
+        closed_bf = math.exp(log_closed)
+        quad_bf = bf_quadrature(n, args.p, args.ratio, prior)
+    except OverflowError:
+        raise DomainError(
+            f"Bayes factor overflows a double: closed-form log Bayes factor is {log_closed!r}"
+        ) from None
     if on_closure:
         relative_difference = abs(quad_bf - closed_bf) / abs(closed_bf)
         within = relative_difference <= ORACLE_TOLERANCE
@@ -251,24 +228,18 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     except ValueError:
         parser.error(f"unknown criteria {args.criteria!r} (expected a subset of fb,bic)")
 
-    header_written = False
-    pieces: list[str] = []
+    rows: list[list] = []
     for ca in ca_list:
-        truth = TruthSpec(model=truth_model, c_a=ca)
         cfg = SimulationConfig(
             p_list=tuple(args.p),
             r_list=tuple(args.r),
-            truth=truth,
+            truth=TruthSpec(model=truth_model, c_a=ca),
             replications=args.reps,
             seed=args.seed,
             criteria=criteria,
         )
-        table_csv = run_frequency_experiment(cfg).to_csv()
-        if header_written:
-            table_csv = table_csv.split("\n", 1)[1]
-        pieces.append(table_csv)
-        header_written = True
-    payload = "".join(pieces)
+        rows.extend(run_frequency_experiment(cfg).rows())
+    payload = write_csv(FREQUENCY_CSV_HEADER, rows)
     params = {
         "truth": truth_model,
         "p": list(args.p),

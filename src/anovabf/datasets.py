@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,13 +66,10 @@ class OneWayDataset:
 
     def to_csv(self) -> str:
         """Serialize back to the ``level,value`` wire format."""
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(ONE_WAY_HEADER)
-        for label, row in zip(self.levels, self.values):
-            for v in row:
-                writer.writerow([label, repr(float(v))])
-        return out.getvalue()
+        return write_csv(
+            ONE_WAY_HEADER,
+            ([label, repr(float(v))] for label, row in zip(self.levels, self.values) for v in row),
+        )
 
 
 @dataclass(frozen=True)
@@ -120,14 +118,24 @@ class TwoWayDataset:
 
     def to_csv(self) -> str:
         """Serialize back to the ``a,b,value`` wire format."""
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(TWO_WAY_HEADER)
-        for a_label, plane in zip(self.a_levels, self.values):
-            for b_label, cell in zip(self.b_levels, plane):
-                for v in cell:
-                    writer.writerow([a_label, b_label, repr(float(v))])
-        return out.getvalue()
+        return write_csv(
+            TWO_WAY_HEADER,
+            (
+                [a_label, b_label, repr(float(v))]
+                for a_label, plane in zip(self.a_levels, self.values)
+                for b_label, cell in zip(self.b_levels, plane)
+                for v in cell
+            ),
+        )
+
+
+def write_csv(header: Iterable[str], rows: Iterable[Iterable]) -> str:
+    """Render a header and rows in the CSV wire format that ``_read_rows`` reads."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def _read_rows(text: str, header: tuple[str, ...]) -> list[list[str]]:

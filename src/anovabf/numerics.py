@@ -1,6 +1,5 @@
 """Special-function numerics: log-gamma, log-beta, unit-interval quadrature,
-and the Stirling approximation to the gamma ratios that drive the
-large-sample behavior of the Bayes factors."""
+and the design regimes of the large-sample analysis."""
 
 from __future__ import annotations
 
@@ -79,22 +78,3 @@ def integrate_unit_interval(
         raise ConvergenceError(f"quadrature did not converge: {message}", estimate=estimate)
     return float(result[0])
 
-
-def log_gamma_ratio_asymptotic(p: int, r: int, regime: Regime) -> float:
-    """Stirling approximation to the log-gamma ratio in the Bayes factor.
-
-    MANY_REPLICATIONS approximates ln[Gamma((pr-p)/2) / Gamma((pr-1)/2)]
-    by -((p-1)/2) ln(pr/2). MANY_LEVELS approximates the full constant
-    ln[Gamma(p/2) Gamma((pr-p)/2) / Gamma((pr-1)/2)] by
-    ln[sqrt(2 pi) r (r-1)^{-1/2}] + (p(r-1)/2) ln[(r-1) / r^{r/(r-1)}].
-    """
-    if p < 2 or r < 2:
-        raise DomainError(f"need p >= 2 and r >= 2, got p={p}, r={r}")
-    if regime is Regime.MANY_REPLICATIONS:
-        return -((p - 1) / 2.0) * math.log(p * r / 2.0)
-    return (
-        0.5 * math.log(2.0 * math.pi)
-        + math.log(r)
-        - 0.5 * math.log(r - 1)
-        + (p * (r - 1) / 2.0) * (math.log(r - 1) - (r / (r - 1)) * math.log(r))
-    )

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateDataError, DomainError
-from .numerics import QuadratureSpec, integrate_unit_interval, log_beta, log_gamma
+from .errors import DomainError
+from .numerics import QuadratureSpec, integrate_unit_interval, log_beta
 
 # Node count for locating the integrand's maximum before exponentiating.
 _SCAN_NODES = 512
@@ -122,20 +122,3 @@ def bf_quadrature(
     integral = integrate_unit_interval(shifted, spec)
     return math.exp(peak) * integral
 
-
-def log_marginal_m1(n: int, w_t: float) -> float:
-    """log marginal density of the data under the common-mean model.
-
-    Depends on the data only through the total sum of squares; the
-    normalizing constant follows the same improper-prior convention as
-    the alternative's marginal, so the two cancel in Bayes factors.
-    """
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    if not w_t > 0:
-        raise DegenerateDataError(f"total sum of squares must be positive, got {w_t}")
-    return (
-        0.5 * math.log(n)
-        + log_gamma((n - 1) / 2.0)
-        - ((n - 1) / 2.0) * (math.log(math.pi) + math.log(w_t))
-    )

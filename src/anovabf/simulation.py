@@ -10,23 +10,15 @@ no matter how replications are ordered or distributed across workers.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bayes_factors import (
-    Criterion,
-    Model,
-    choose_model,
-    log_bf_bic_one_way,
-    log_bf_fb_one_way,
-)
+from .bayes_factors import Criterion, Model, one_way_report
 from .consistency import EffectSizes
-from .datasets import OneWayDataset
+from .datasets import OneWayDataset, write_csv
 from .errors import DegenerateDataError, DomainError
 from .sums_of_squares import one_way_ss
 
@@ -102,24 +94,24 @@ class FrequencyTable:
             if not 0.0 <= freq <= 1.0:
                 raise DomainError(f"frequency out of [0, 1] at {key}: {freq}")
 
+    def rows(self) -> list[list]:
+        """One row per frequency, in the order of ``FREQUENCY_CSV_HEADER``."""
+        return [
+            [
+                criterion.value,
+                self.truth.model.value,
+                repr(float(self.truth.c_a)),
+                p,
+                r,
+                repr(float(freq)),
+                self.replications,
+                self.seed,
+            ]
+            for (criterion, p, r), freq in self.frequencies.items()
+        ]
+
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(FREQUENCY_CSV_HEADER)
-        for (criterion, p, r), freq in self.frequencies.items():
-            writer.writerow(
-                [
-                    criterion.value,
-                    self.truth.model.value,
-                    repr(float(self.truth.c_a)),
-                    p,
-                    r,
-                    repr(float(freq)),
-                    self.replications,
-                    self.seed,
-                ]
-            )
-        return out.getvalue()
+        return write_csv(FREQUENCY_CSV_HEADER, self.rows())
 
 
 def _sign_pattern(p: int) -> np.ndarray:
@@ -204,10 +196,6 @@ def run_frequency_experiment(cfg: SimulationConfig) -> FrequencyTable:
     zero under a continuous noise law) aborts with diagnostics.
     """
     truth = cfg.truth
-    log_bf = {
-        Criterion.FB: log_bf_fb_one_way,
-        Criterion.BIC: log_bf_bic_one_way,
-    }
     frequencies: dict[tuple[Criterion, int, int], float] = {}
     for criterion in cfg.criteria:
         for p, r in itertools.product(cfg.p_list, cfg.r_list):
@@ -223,8 +211,9 @@ def run_frequency_experiment(cfg: SimulationConfig) -> FrequencyTable:
                     f"replication {rep} at (p={p}, r={r}, seed={cfg.seed}) "
                     "produced a zero total sum of squares"
                 )
+            report = one_way_report(ss, p, r)
             for criterion in cfg.criteria:
-                chosen = choose_model(log_bf[criterion](ss, p, r), Model.FACTOR_A)
+                chosen = report.choice_fb if criterion is Criterion.FB else report.choice_bic
                 hits[criterion] += chosen is truth.model
         for criterion in cfg.criteria:
             frequencies[(criterion, p, r)] = hits[criterion] / cfg.replications

@@ -14,12 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from anovabf.bayes_factors import (
-    Criterion,
-    Model,
-    log_bf_fb_one_way,
-    log_bf_fb_two_way,
-)
+from anovabf.bayes_factors import Criterion, Model, log_bf_fb_one_way, two_way_reports
 from anovabf.consistency import asymptotic_log_bf, h_threshold, limit_we_wt
 from anovabf.datasets import OneWayDataset, TwoWayDataset
 from anovabf.numerics import QuadratureSpec, integrate_unit_interval, Regime
@@ -241,7 +236,7 @@ def test_criterion_7_two_way_coherence(announce):
         q = int(rng.integers(2, 7))
         r = int(rng.integers(2, 6))
         y = rng.normal(size=(p, q, r))
-        two = log_bf_fb_two_way(two_way_ss(TwoWayDataset(values=y)), p, q, r, Model.FULL)
+        two = two_way_reports(two_way_ss(TwoWayDataset(values=y)), p, q, r)[Model.FULL].log_bf_fb
         one = log_bf_fb_one_way(
             one_way_ss(OneWayDataset(values=y.reshape(p * q, r))), p * q, r
         )
@@ -270,16 +265,16 @@ def test_criterion_8_prior_propriety(announce):
     assert ok, (worst, elapsed)
 
 
-def test_criterion_9_simulate_determinism(announce, tmp_path):
+def test_criterion_9_simulate_determinism(announce, tmp_path, child_env):
     out = tmp_path / "freq.csv"
     argv = [
         sys.executable, "-m", "anovabf", "simulate",
         "--truth", "ma1", "--p", "3", "--r", "2", "--ca", "1",
         "--reps", "60", "--seed", "7", "--out", str(out),
     ]
-    first_run = subprocess.run(argv, capture_output=True)
+    first_run = subprocess.run(argv, capture_output=True, env=child_env)
     first = out.read_bytes()
-    second_run = subprocess.run(argv, capture_output=True)
+    second_run = subprocess.run(argv, capture_output=True, env=child_env)
     second = out.read_bytes()
     ok = first_run.returncode == 0 and second_run.returncode == 0 and first == second
     announce(

@@ -4,18 +4,14 @@ import numpy as np
 import pytest
 
 from anovabf.bayes_factors import (
-    TWO_WAY_ALTERNATIVES,
-    Criterion,
     Model,
     choose_model,
-    log_bf_bic_one_way,
-    log_bf_bic_two_way,
     log_bf_fb_one_way,
-    log_bf_fb_two_way,
     one_way_report,
     posterior_prob,
     rank_two_way_models,
-    two_way_report,
+    score,
+    two_way_reports,
 )
 from anovabf.datasets import OneWayDataset, TwoWayDataset
 from anovabf.errors import DegenerateDataError, DomainError
@@ -65,12 +61,14 @@ class TestOneWayFullyBayes:
 class TestOneWayBIC:
     def test_ratio_half(self):
         np.testing.assert_allclose(
-            log_bf_bic_one_way(ss_with_ratio(0.5), 2, 2), math.log(2.0), rtol=1e-12
+            one_way_report(ss_with_ratio(0.5), 2, 2).log_bf_bic, math.log(2.0), rtol=1e-12
         )
 
     def test_ratio_one(self):
         np.testing.assert_allclose(
-            log_bf_bic_one_way(ss_with_ratio(1.0), 2, 2), -0.5 * math.log(4.0), rtol=1e-12
+            one_way_report(ss_with_ratio(1.0), 2, 2).log_bf_bic,
+            -0.5 * math.log(4.0),
+            rtol=1e-12,
         )
 
     def test_matches_log_space_recomputation(self):
@@ -83,11 +81,11 @@ class TestOneWayBIC:
         w_e = float(np.sum((y - level_means[:, None]) ** 2))
         w_t = float(np.sum((y - y.mean()) ** 2))
         expected = -(50 / 2) * math.log(w_e / w_t) - (4 / 2) * math.log(50)
-        np.testing.assert_allclose(log_bf_bic_one_way(ss, 5, 10), expected, rtol=1e-10)
+        np.testing.assert_allclose(one_way_report(ss, 5, 10).log_bf_bic, expected, rtol=1e-10)
 
     def test_zero_total_rejected(self):
         with pytest.raises(DegenerateDataError):
-            log_bf_bic_one_way(OneWaySS(w_t=0.0, w_e=0.0, w_h=0.0), 2, 2)
+            one_way_report(OneWaySS(w_t=0.0, w_e=0.0, w_h=0.0), 2, 2)
 
 
 class TestTwoWayFullyBayes:
@@ -95,13 +93,13 @@ class TestTwoWayFullyBayes:
         # all variation outside factor A: the ratio argument is 1
         ss = TwoWaySS(w_t=1.0, w_a=0.0, w_b=0.5, w_ab=0.25, w_e=0.25)
         np.testing.assert_allclose(
-            log_bf_fb_two_way(ss, 2, 2, 2, Model.FACTOR_A), LOG_16_OVER_15PI, rtol=1e-12
+            two_way_reports(ss, 2, 2, 2)[Model.FACTOR_A].log_bf_fb, LOG_16_OVER_15PI, rtol=1e-12
         )
 
     def test_full_model_ratio_one(self):
         ss = TwoWaySS(w_t=1.0, w_a=0.0, w_b=0.0, w_ab=0.0, w_e=1.0)
         np.testing.assert_allclose(
-            log_bf_fb_two_way(ss, 2, 2, 2, Model.FULL), LOG_FULL_2X2_CONSTANT, rtol=1e-12
+            two_way_reports(ss, 2, 2, 2)[Model.FULL].log_bf_fb, LOG_FULL_2X2_CONSTANT, rtol=1e-12
         )
 
     def test_ratio_arguments_come_from_components(self):
@@ -122,24 +120,19 @@ class TestTwoWayFullyBayes:
             Model.ADDITIVE: (p + q - 2) / 2.0,
             Model.FULL: (p * q - 1) / 2.0,
         }
-        for m in TWO_WAY_ALTERNATIVES:
-            log_bf = log_bf_bic_two_way(ss, p, q, r, m)
+        for m, report in two_way_reports(ss, p, q, r).items():
+            log_bf = report.log_bf_bic
             recovered = math.exp(-(log_bf + penalty[m] * math.log(n)) * 2.0 / n)
             np.testing.assert_allclose(recovered, expected_ratio[m], rtol=1e-12)
 
     def test_perfect_fit_gives_infinity(self):
         ss = TwoWaySS(w_t=1.0, w_a=1.0, w_b=0.0, w_ab=0.0, w_e=0.0)
-        assert log_bf_fb_two_way(ss, 2, 2, 2, Model.FACTOR_A) == math.inf
-
-    def test_null_tag_rejected(self):
-        ss = TwoWaySS(w_t=1.0, w_a=0.25, w_b=0.25, w_ab=0.25, w_e=0.25)
-        with pytest.raises(DomainError):
-            log_bf_fb_two_way(ss, 2, 2, 2, Model.NULL)
+        assert two_way_reports(ss, 2, 2, 2)[Model.FACTOR_A].log_bf_fb == math.inf
 
     def test_single_level_factor_rejected(self):
         ss = TwoWaySS(w_t=1.0, w_a=0.25, w_b=0.25, w_ab=0.25, w_e=0.25)
         with pytest.raises(DomainError):
-            log_bf_fb_two_way(ss, 2, 1, 2, Model.FACTOR_A)
+            two_way_reports(ss, 2, 1, 2)
 
 
 class TestTwoWayBIC:
@@ -147,7 +140,7 @@ class TestTwoWayBIC:
         ss = TwoWaySS(w_t=2.0, w_a=1.0, w_b=0.5, w_ab=0.25, w_e=0.25)
         expected = 4.0 * math.log(2.0) - 0.5 * math.log(8.0)
         np.testing.assert_allclose(
-            log_bf_bic_two_way(ss, 2, 2, 2, Model.FACTOR_A), expected, rtol=1e-12
+            two_way_reports(ss, 2, 2, 2)[Model.FACTOR_A].log_bf_bic, expected, rtol=1e-12
         )
 
     def test_full_model_ratio_one(self):
@@ -155,7 +148,7 @@ class TestTwoWayBIC:
         p, q, r = 3, 2, 4
         expected = -((p * q - 1) / 2.0) * math.log(p * q * r)
         np.testing.assert_allclose(
-            log_bf_bic_two_way(ss, p, q, r, Model.FULL), expected, rtol=1e-12
+            two_way_reports(ss, p, q, r)[Model.FULL].log_bf_bic, expected, rtol=1e-12
         )
 
     def test_matches_brute_force_recomputation(self):
@@ -168,7 +161,7 @@ class TestTwoWayBIC:
         w_t = float(np.sum((y - y.mean()) ** 2))
         expected = -(n / 2.0) * math.log(w_e / w_t) - ((6 - 1) / 2.0) * math.log(n)
         np.testing.assert_allclose(
-            log_bf_bic_two_way(ss, 2, 3, 2, Model.FULL), expected, rtol=1e-10
+            two_way_reports(ss, 2, 3, 2)[Model.FULL].log_bf_bic, expected, rtol=1e-10
         )
 
 
@@ -177,11 +170,10 @@ class TestInvariances:
     def test_scale_invariance_one_way(self, scale):
         rng = np.random.default_rng(23)
         y = rng.normal(size=(4, 6))
-        base_fb = log_bf_fb_one_way(one_way_ss(OneWayDataset(values=y)), 4, 6)
-        base_bic = log_bf_bic_one_way(one_way_ss(OneWayDataset(values=y)), 4, 6)
-        scaled = one_way_ss(OneWayDataset(values=scale * y))
-        assert abs(log_bf_fb_one_way(scaled, 4, 6) - base_fb) < 1e-9
-        assert abs(log_bf_bic_one_way(scaled, 4, 6) - base_bic) < 1e-9
+        base = one_way_report(one_way_ss(OneWayDataset(values=y)), 4, 6)
+        scaled = one_way_report(one_way_ss(OneWayDataset(values=scale * y)), 4, 6)
+        assert abs(scaled.log_bf_fb - base.log_bf_fb) < 1e-9
+        assert abs(scaled.log_bf_bic - base.log_bf_bic) < 1e-9
 
     def test_shift_invariance_one_way(self):
         rng = np.random.default_rng(24)
@@ -190,20 +182,18 @@ class TestInvariances:
         shifted = log_bf_fb_one_way(one_way_ss(OneWayDataset(values=y + 55.5)), 3, 5)
         assert abs(shifted - base) < 1e-9
 
-    @pytest.mark.parametrize("m", TWO_WAY_ALTERNATIVES)
+    @pytest.mark.parametrize("m", [Model.FACTOR_A, Model.FACTOR_B, Model.ADDITIVE, Model.FULL])
     def test_scale_and_shift_invariance_two_way(self, m):
         rng = np.random.default_rng(25)
         y = rng.normal(size=(3, 3, 3))
-        base = log_bf_fb_two_way(two_way_ss(TwoWayDataset(values=y)), 3, 3, 3, m)
-        moved = log_bf_fb_two_way(
-            two_way_ss(TwoWayDataset(values=2.5 * y - 17.0)), 3, 3, 3, m
-        )
-        assert abs(moved - base) < 1e-9
+        base = two_way_reports(two_way_ss(TwoWayDataset(values=y)), 3, 3, 3)[m]
+        moved = two_way_reports(two_way_ss(TwoWayDataset(values=2.5 * y - 17.0)), 3, 3, 3)[m]
+        assert abs(moved.log_bf_fb - base.log_bf_fb) < 1e-9
 
     def test_two_way_full_matches_one_way_on_cells(self):
         rng = np.random.default_rng(26)
         y = rng.normal(size=(3, 4, 2))
-        two = log_bf_fb_two_way(two_way_ss(TwoWayDataset(values=y)), 3, 4, 2, Model.FULL)
+        two = two_way_reports(two_way_ss(TwoWayDataset(values=y)), 3, 4, 2)[Model.FULL].log_bf_fb
         flat = one_way_ss(OneWayDataset(values=y.reshape(12, 2)))
         one = log_bf_fb_one_way(flat, 12, 2)
         assert abs(two - one) < 1e-10
@@ -242,7 +232,7 @@ class TestReports:
         ss = one_way_ss(d)
         report = one_way_report(ss, 4, 4)
         assert report.log_bf_fb == log_bf_fb_one_way(ss, 4, 4)
-        assert report.log_bf_bic == log_bf_bic_one_way(ss, 4, 4)
+        assert report == score(16, 4, ss.w_e, ss.w_e + ss.w_h, Model.FACTOR_A)
         assert report.posterior_prob_fb == posterior_prob(report.log_bf_fb)
         assert report.choice_fb == choose_model(report.log_bf_fb)
         assert 0.0 < report.ss_ratio <= 1.0
@@ -250,14 +240,14 @@ class TestReports:
     def test_two_way_report_choice_uses_its_model(self):
         base = np.array([[[0.0, 0.1], [5.0, 5.1]], [[5.0, 4.9], [0.0, -0.1]]])
         ss = two_way_ss(TwoWayDataset(values=base))
-        report = two_way_report(ss, 2, 2, 2, Model.FULL)
+        report = two_way_reports(ss, 2, 2, 2)[Model.FULL]
         assert report.log_bf_fb > 0
         assert report.choice_fb is Model.FULL
 
     def test_ranking_contains_all_models_with_null_at_zero(self):
         rng = np.random.default_rng(28)
         ss = two_way_ss(TwoWayDataset(values=rng.normal(size=(3, 3, 2))))
-        ranking = rank_two_way_models(ss, 3, 3, 2, Criterion.FB)
+        ranking = rank_two_way_models(two_way_reports(ss, 3, 3, 2), 3, 3)
         assert len(ranking) == 5
         scores = dict(ranking)
         assert scores[Model.NULL] == 0.0
@@ -267,5 +257,27 @@ class TestReports:
     def test_ranking_prefers_strong_interaction(self):
         base = np.array([[[0.0, 0.01], [5.0, 5.01]], [[5.0, 4.99], [0.0, -0.01]]])
         ss = two_way_ss(TwoWayDataset(values=base))
-        ranking = rank_two_way_models(ss, 2, 2, 2, Criterion.FB)
+        ranking = rank_two_way_models(two_way_reports(ss, 2, 2, 2), 2, 2)
         assert ranking[0][0] is Model.FULL
+
+    def test_ranking_ties_break_toward_fewer_mean_parameters(self):
+        # only factor A varies, so A+1, A+B+1 and the full model all fit
+        # perfectly and tie at +inf
+        ss = TwoWaySS(w_t=2.0, w_a=2.0, w_b=0.0, w_ab=0.0, w_e=0.0)
+        ranking = rank_two_way_models(two_way_reports(ss, 3, 2, 2), 3, 2)
+        assert ranking == [
+            (Model.FACTOR_A, math.inf),
+            (Model.ADDITIVE, math.inf),
+            (Model.FULL, math.inf),
+            (Model.NULL, 0.0),
+            (Model.FACTOR_B, ranking[-1][1]),
+        ]
+        assert ranking[-1][1] < 0.0
+
+    def test_score_clamps_ratio_into_unit_interval(self):
+        above = score(8, 2, 1.0 + 1e-15, 1.0, Model.FACTOR_A)
+        assert above.ss_ratio == 1.0
+        assert above == score(8, 2, 1.0, 1.0, Model.FACTOR_A)
+        below = score(8, 2, -1e-300, 1.0, Model.FACTOR_A)
+        assert below.ss_ratio == 0.0
+        assert below.log_bf_fb == below.log_bf_bic == math.inf

@@ -1,14 +1,12 @@
 import hashlib
 import importlib.metadata
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import anovabf
 from anovabf.cli import run
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -77,6 +75,13 @@ class TestRuntimeErrors:
         path = write(tmp_path, "flat.csv", "level,value\n1,5.0\n1,5.0\n2,5.0\n2,5.0\n")
         assert run(["bf", "one-way", "--input", path]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_oracle_overflow(self, capsys):
+        assert run(["oracle", "check", "--p", "50", "--r", "50", "--ratio", "0.5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "closed-form log Bayes factor" in err
+        assert "Traceback" not in err
 
 
 class TestBayesFactorCommand:
@@ -285,16 +290,17 @@ class TestGoldenOutputs:
 
 
 class TestInstalledEntryPoints:
-    def test_module_invocation(self):
+    def test_module_invocation(self, child_env):
         proc = subprocess.run(
             [sys.executable, "-m", "anovabf", "consistency", "h", "--r", "5"],
             capture_output=True,
             text=True,
+            env=child_env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["h"] == pytest.approx(0.49534878122122054)
 
-    def test_console_script(self, tmp_path):
+    def test_console_script(self, tmp_path, child_env):
         # Runs the [project.scripts] target through the launcher that
         # installers write, so the check needs no installed package.
         target = load_toml(PYPROJECT)["project"]["scripts"]["anovabf"]
@@ -305,25 +311,21 @@ class TestInstalledEntryPoints:
             assert [ep.value for ep in installed] == [target]
         launcher = tmp_path / "anovabf"
         launcher.write_text(f"import sys\nfrom {module} import {attr}\nsys.exit({attr}())\n")
-        # Put this tree's package first, ahead of any installed copy.
-        env = dict(os.environ)
-        src = str(Path(anovabf.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, str(launcher), "consistency", "h", "--r", "2"],
             capture_output=True,
             text=True,
-            env=env,
+            env=child_env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"r": 2, "h": 1.0}
 
-    def test_identical_runs_identical_bytes(self, tmp_path):
+    def test_identical_runs_identical_bytes(self, child_env):
         argv = [
             sys.executable, "-m", "anovabf", "simulate", "--truth", "ma1",
             "--p", "3", "--r", "2", "--ca", "1", "--reps", "40", "--seed", "5",
         ]
-        first = subprocess.run(argv, capture_output=True)
-        second = subprocess.run(argv, capture_output=True)
+        first = subprocess.run(argv, capture_output=True, env=child_env)
+        second = subprocess.run(argv, capture_output=True, env=child_env)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout

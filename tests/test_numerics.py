@@ -6,11 +6,9 @@ import pytest
 from anovabf.errors import ConvergenceError, DomainError
 from anovabf.numerics import (
     QuadratureSpec,
-    Regime,
     integrate_unit_interval,
     log_beta,
     log_gamma,
-    log_gamma_ratio_asymptotic,
 )
 
 LOG_PI = 1.14472988584940017414342735135
@@ -135,40 +133,3 @@ class TestIntegrateUnitInterval:
         with pytest.raises(ConvergenceError) as excinfo:
             integrate_unit_interval(lambda t: 1.0 / t)
         assert isinstance(excinfo.value.estimate, float)
-
-
-class TestGammaRatioAsymptotic:
-    def test_many_replications_p3(self):
-        asym = log_gamma_ratio_asymptotic(3, 1000, Regime.MANY_REPLICATIONS)
-        np.testing.assert_allclose(asym, -math.log(1500.0), rtol=1e-15)
-        exact = log_gamma(1498.5) - log_gamma(1499.5)
-        assert abs(asym - exact) / abs(exact) < 1e-2
-
-    def test_many_levels_p200(self):
-        asym = log_gamma_ratio_asymptotic(200, 2, Regime.MANY_LEVELS)
-        expected = math.log(2.0 * math.sqrt(2.0 * math.pi)) + 100.0 * math.log(0.25)
-        np.testing.assert_allclose(asym, expected, rtol=1e-14)
-        exact = log_gamma(100.0) + log_gamma(100.0) - log_gamma(199.5)
-        assert abs(asym - exact) / abs(exact) < 1e-2
-
-    def test_many_replications_p2_huge_r(self):
-        r = 10**6
-        asym = log_gamma_ratio_asymptotic(2, r, Regime.MANY_REPLICATIONS)
-        np.testing.assert_allclose(asym, -0.5 * math.log(1e6), rtol=1e-14)
-        exact = log_gamma((2 * r - 2) / 2.0) - log_gamma((2 * r - 1) / 2.0)
-        assert abs(asym - exact) / abs(exact) < 1e-4
-
-    def test_relative_error_shrinks_with_r(self):
-        p = 4
-        errors = []
-        for r in (100, 1000, 10000):
-            asym = log_gamma_ratio_asymptotic(p, r, Regime.MANY_REPLICATIONS)
-            exact = log_gamma((p * r - p) / 2.0) - log_gamma((p * r - 1) / 2.0)
-            errors.append(abs(math.exp(exact - asym) - 1.0))
-        assert errors[0] > errors[1] > errors[2]
-
-    def test_rejects_degenerate_counts(self):
-        with pytest.raises(DomainError):
-            log_gamma_ratio_asymptotic(1, 10, Regime.MANY_REPLICATIONS)
-        with pytest.raises(DomainError):
-            log_gamma_ratio_asymptotic(10, 1, Regime.MANY_LEVELS)

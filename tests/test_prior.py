@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from anovabf.bayes_factors import log_bf_fb_one_way
-from anovabf.errors import DegenerateDataError, DomainError
+from anovabf.errors import DomainError
 from anovabf.numerics import QuadratureSpec, integrate_unit_interval
 from anovabf.prior import (
     BetaPrimePrior,
     beta_prime_log_density,
     bf_quadrature,
     log_bf_integrand,
-    log_marginal_m1,
 )
 from anovabf.sums_of_squares import OneWaySS
 
@@ -149,20 +148,3 @@ class TestQuadrature:
         off = bf_quadrature(10, 3, 0.5, BetaPrimePrior.hyper_g())
         assert on > 0 and off > 0
         assert abs(on - off) / on > 1e-3
-
-
-class TestMarginalUnderCommonMean:
-    def test_two_points_unit_scatter(self):
-        np.testing.assert_allclose(log_marginal_m1(2, 2.0), 0.0, atol=1e-14)
-        np.testing.assert_allclose(log_marginal_m1(2, 1.0), 0.5 * math.log(2.0), rtol=1e-14)
-
-    def test_scaling_law(self):
-        n, w, s = 9, 3.7, 12.5
-        diff = log_marginal_m1(n, s * w) - log_marginal_m1(n, w)
-        np.testing.assert_allclose(diff, -((n - 1) / 2.0) * math.log(s), rtol=1e-12)
-
-    def test_errors(self):
-        with pytest.raises(DomainError):
-            log_marginal_m1(1, 1.0)
-        with pytest.raises(DegenerateDataError):
-            log_marginal_m1(4, 0.0)
