@@ -19,6 +19,14 @@ TWO_WAY_CSV = (
     "a2,b1,5.1\na2,b1,4.9\n"
     "a2,b2,0.1\na2,b2,-0.1\n"
 )
+# 3x2 cells, r = 3, rows interleaved across cells; labels first appear
+# out of sorted order (a2 before a1, b2 before b1)
+TWO_WAY_SHUFFLED_CSV = (
+    "a,b,value\n"
+    "a2,b2,3.1\na1,b1,0.4\na3,b2,-1.2\na2,b1,2.2\na1,b2,1.7\na3,b1,0.9\n"
+    "a1,b1,0.8\na3,b1,1.3\na2,b2,2.6\na1,b2,1.1\na3,b2,-0.7\na2,b1,2.9\n"
+    "a3,b2,-1.5\na2,b1,2.0\na1,b2,1.4\na2,b2,3.3\na3,b1,0.5\na1,b1,0.1\n"
+)
 
 
 def write(tmp_path, name, text):
@@ -213,6 +221,7 @@ class TestSimulateCommand:
 GOLDEN_INPUTS = {
     "one_way": ONE_WAY_CSV,
     "two_way": TWO_WAY_CSV,
+    "two_way_shuffled": TWO_WAY_SHUFFLED_CSV,
     "one_way_noisy": (
         "level,value\n"
         "x,0.5\nx,1.7\nx,1.1\n"
@@ -230,6 +239,8 @@ GOLDEN_ARGV = {
     "bf-one-way-noisy-csv": ["bf", "one-way", "--input", "{one_way_noisy}", "--csv"],
     "bf-two-way-json": ["bf", "two-way", "--input", "{two_way}", "--json"],
     "bf-two-way-csv": ["bf", "two-way", "--input", "{two_way}", "--csv"],
+    "bf-two-way-shuffled-json": ["bf", "two-way", "--input", "{two_way_shuffled}", "--json"],
+    "bf-two-way-shuffled-csv": ["bf", "two-way", "--input", "{two_way_shuffled}", "--csv"],
     "oracle-closure": ["oracle", "check", "--p", "3", "--r", "2", "--ratio", "0.5"],
     "oracle-off-closure": [
         "oracle", "check", "--p", "3", "--r", "2", "--ratio", "0.5", "--a", "0", "--b", "0",
@@ -254,6 +265,8 @@ GOLDEN_SHA256 = {
     "bf-one-way-noisy-csv": "69bf37702cd2a59bb0930dbb7808bc097751b5ccf47943e110ae7ae8a23c64d9",
     "bf-two-way-json": "49ef6ba2896b13b4eb71d0e87fa6387acce0b1005ddc4d63b3199d2a2d7fb985",
     "bf-two-way-csv": "320d8b272c35d40e122ee459515d76c2e84d7ab19d0f7b020221676dafaa72fe",
+    "bf-two-way-shuffled-json": "795c49791c249d8562ae8109e53e8d0ea8f89e550f05a60d6953dabf69d3d115",
+    "bf-two-way-shuffled-csv": "920d55491d953863235ae4a5058c1b75c3d8a7873854c669aeb39dbcdeabf7ef",
     "oracle-closure": "2a7988efb3e49d9ca0b1b3dc2eb6838c1da7c5d55a7f47c8b67a89809521665f",
     "oracle-off-closure": "7e14887391b4aa2ce2bc0e1cfcdfd69701de09c639ed10587a36b91b96da50b5",
     "consistency-h": "a6823b28288b751efed1de943e23458defbaff9ed8fe919fa094eec0bb2055cf",

@@ -16,6 +16,15 @@ TWO_WAY_SMALL = "\n".join(
     ]]
 )
 
+# 3x2 cells, r = 3, rows interleaved across cells; labels first appear
+# out of sorted order (a2 before a1, b2 before b1)
+TWO_WAY_SHUFFLED = (
+    "a,b,value\n"
+    "a2,b2,3.1\na1,b1,0.4\na3,b2,-1.2\na2,b1,2.2\na1,b2,1.7\na3,b1,0.9\n"
+    "a1,b1,0.8\na3,b1,1.3\na2,b2,2.6\na1,b2,1.1\na3,b2,-0.7\na2,b1,2.9\n"
+    "a3,b2,-1.5\na2,b1,2.0\na1,b2,1.4\na2,b2,3.3\na3,b1,0.5\na1,b1,0.1\n"
+)
+
 
 class TestParseOneWay:
     def test_direct_transcription(self):
@@ -93,6 +102,19 @@ class TestParseTwoWay:
         assert d.n == 8
         np.testing.assert_array_equal(
             d.values, [[[1, 2], [3, 4]], [[5, 6], [7, 8]]]
+        )
+
+    def test_shuffled_rows_keep_first_appearance_and_row_order(self):
+        d = parse_two_way(TWO_WAY_SHUFFLED)
+        assert d.a_levels == ("a2", "a1", "a3")
+        assert d.b_levels == ("b2", "b1")
+        np.testing.assert_array_equal(
+            d.values,
+            [
+                [[3.1, 2.6, 3.3], [2.2, 2.9, 2.0]],
+                [[1.7, 1.1, 1.4], [0.4, 0.8, 0.1]],
+                [[-1.2, -0.7, -1.5], [0.9, 1.3, 0.5]],
+            ],
         )
 
     def test_missing_cell(self):
