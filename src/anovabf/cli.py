@@ -29,7 +29,7 @@ from .bayes_factors import (
 )
 from .consistency import EffectSizes, h_threshold, predicted_mse_gap, two_way_consistency_window
 from .datasets import parse_one_way, parse_two_way, write_csv
-from .errors import AnovaBFError, DomainError
+from .errors import AnovaBFError, DomainError, ParseError
 from .prior import BetaPrimePrior, bf_quadrature
 from .simulation import (
     FREQUENCY_CSV_HEADER,
@@ -97,7 +97,10 @@ def _json_payload(doc: dict) -> str:
 
 
 def _cmd_bf(args: argparse.Namespace) -> int:
-    text = Path(args.input).read_text(encoding="utf-8")
+    try:
+        text = Path(args.input).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{args.input}: byte offset {exc.start} is not valid UTF-8") from None
     if args.layout == "one-way":
         dataset = parse_one_way(text)
         ss = one_way_ss(dataset)

@@ -2,17 +2,22 @@
 
 Observations are held as dense arrays indexed by factor level (and
 replicate), so downstream sums of squares are plain axis reductions.
-Level labels are arbitrary strings; internal indices follow first
-appearance in the input, which is harmless because every statistic
-computed from these datasets is label-invariant.
+Both layouts are read by one pass over the CSV rows, which groups values
+by their row's labels; level labels are arbitrary strings, and internal
+indices follow first appearance in the input, which is harmless because
+every statistic computed from these datasets is label-invariant. Both
+dataset classes are checked by one validator.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
+from collections import Counter, defaultdict
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -22,9 +27,27 @@ ONE_WAY_HEADER = ("level", "value")
 TWO_WAY_HEADER = ("a", "b", "value")
 
 
-def _check_finite(values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
+def _freeze(dataset, label_fields: tuple[str, ...]) -> None:
+    """Check that values form a finite (levels..., replicates) array, at least
+    2 in every dimension, with one label per level ("1", "2", ... by
+    default); store a read-only copy."""
+    values = np.array(dataset.values, dtype=float)
+    if values.ndim != len(label_fields) + 1:
+        raise DegenerateDesignError(f"need a (levels..., replicates) array, got {values.shape}")
+    *sizes, r = values.shape
+    if min(sizes) < 2:
+        raise DegenerateDesignError(f"need at least 2 levels per factor, got shape {values.shape}")
+    if r < 2:
+        raise DegenerateDesignError(f"need at least 2 replications per cell, got {r}")
+    if not np.isfinite(values).all():
         raise DomainError("all observations must be finite")
+    for name, size in zip(label_fields, sizes):
+        labels = getattr(dataset, name) or tuple([str(i) for i in range(1, size + 1)])
+        if len(labels) != size:
+            raise DomainError(f"{len(labels)} labels in {name} for {size} levels")
+        object.__setattr__(dataset, name, labels)
+    values.flags.writeable = False
+    object.__setattr__(dataset, "values", values)
 
 
 @dataclass(frozen=True)
@@ -32,25 +55,10 @@ class OneWayDataset:
     """Balanced one-way layout: ``values[i, j]`` is replicate j of level i."""
 
     values: np.ndarray
-    levels: tuple[str, ...] = field(default=())
+    levels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            raise DegenerateDesignError("one-way data must be a (levels, replicates) matrix")
-        p, r = values.shape
-        if p < 2:
-            raise DegenerateDesignError(f"need at least 2 levels, got {p}")
-        if r < 2:
-            raise DegenerateDesignError(f"need at least 2 replications per level, got {r}")
-        _check_finite(values)
-        levels = self.levels or tuple(str(i + 1) for i in range(p))
-        if len(levels) != p:
-            raise DomainError(f"{len(levels)} labels for {p} levels")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "levels", levels)
+        _freeze(self, ("levels",))
 
     @property
     def p(self) -> int:
@@ -64,41 +72,17 @@ class OneWayDataset:
     def n(self) -> int:
         return self.values.size
 
-    def to_csv(self) -> str:
-        """Serialize back to the ``level,value`` wire format."""
-        return write_csv(
-            ONE_WAY_HEADER,
-            ([label, repr(float(v))] for label, row in zip(self.levels, self.values) for v in row),
-        )
-
 
 @dataclass(frozen=True)
 class TwoWayDataset:
     """Balanced two-way layout: ``values[i, j, k]`` is replicate k of cell (i, j)."""
 
     values: np.ndarray
-    a_levels: tuple[str, ...] = field(default=())
-    b_levels: tuple[str, ...] = field(default=())
+    a_levels: tuple[str, ...] = ()
+    b_levels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 3:
-            raise DegenerateDesignError("two-way data must be a (p, q, replicates) array")
-        p, q, r = values.shape
-        if p < 2 or q < 2:
-            raise DegenerateDesignError(f"need at least 2 levels per factor, got {p}x{q}")
-        if r < 2:
-            raise DegenerateDesignError(f"need at least 2 replications per cell, got {r}")
-        _check_finite(values)
-        a_levels = self.a_levels or tuple(str(i + 1) for i in range(p))
-        b_levels = self.b_levels or tuple(str(j + 1) for j in range(q))
-        if len(a_levels) != p or len(b_levels) != q:
-            raise DomainError("label counts do not match array shape")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "a_levels", a_levels)
-        object.__setattr__(self, "b_levels", b_levels)
+        _freeze(self, ("a_levels", "b_levels"))
 
     @property
     def p(self) -> int:
@@ -116,21 +100,9 @@ class TwoWayDataset:
     def n(self) -> int:
         return self.values.size
 
-    def to_csv(self) -> str:
-        """Serialize back to the ``a,b,value`` wire format."""
-        return write_csv(
-            TWO_WAY_HEADER,
-            (
-                [a_label, b_label, repr(float(v))]
-                for a_label, plane in zip(self.a_levels, self.values)
-                for b_label, cell in zip(self.b_levels, plane)
-                for v in cell
-            ),
-        )
-
 
 def write_csv(header: Iterable[str], rows: Iterable[Iterable]) -> str:
-    """Render a header and rows in the CSV wire format that ``_read_rows`` reads."""
+    """Render a header and rows in the CSV wire format that the parsers read."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
@@ -138,93 +110,66 @@ def write_csv(header: Iterable[str], rows: Iterable[Iterable]) -> str:
     return out.getvalue()
 
 
-def _read_rows(text: str, header: tuple[str, ...]) -> list[list[str]]:
+def _parse_balanced(text: str, header: tuple[str, ...]) -> tuple[list, np.ndarray]:
+    """Read label columns then a value column into a dense balanced array.
+
+    Returns each factor's levels in first-appearance order and the
+    ``(levels per factor..., replicates)`` array, with each cell's values
+    in row order. Every cell of the full cross of observed levels must
+    carry the same number of replicates.
+    """
     reader = csv.reader(io.StringIO(text))
-    try:
-        first = next(reader)
-    except StopIteration:
-        raise ParseError("empty input") from None
+    first = next(reader, None)
+    if first is None:
+        raise ParseError("empty input")
     if tuple(h.strip().lower() for h in first) != header:
         raise ParseError(f"expected header {','.join(header)!r}, got {','.join(first)!r}")
-    rows = []
+    width, strip, isfinite = len(header), str.strip, math.isfinite
+    cells: defaultdict[tuple[str, ...], list[float]] = defaultdict(list)
     for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(header):
-            raise ParseError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-        rows.append([cell.strip() for cell in row])
-    if not rows:
+        if len(row) != width:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            raise ParseError(f"line {lineno}: expected {width} fields, got {len(row)}")
+        try:
+            value = float(row[-1])
+        except ValueError:
+            value = math.nan
+        if not isfinite(value):
+            raise ParseError(f"line {lineno}: expected a finite number, got {row[-1].strip()!r}")
+        cells[tuple(map(strip, row[:-1]))].append(value)
+    if not cells:
         raise ParseError("no data rows")
-    return rows
 
-
-def _parse_value(text: str, lineno_hint: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(f"non-numeric value {text!r} ({lineno_hint})") from None
-    if not np.isfinite(value):
-        raise ParseError(f"non-finite value {text!r} ({lineno_hint})")
-    return value
+    levels = [tuple(dict.fromkeys(key[i] for key in cells)) for i in range(width - 1)]
+    grid = list(product(*levels))
+    r = Counter(map(len, cells.values())).most_common(1)[0][0]
+    bad = [key for key in grid if len(cells.get(key, ())) != r]
+    if bad:
+        shown = [f"{','.join(key)!r} has {len(cells.get(key, ()))}" for key in bad[:5]]
+        raise BalanceError(
+            f"unbalanced design: {len(bad)} of {len(grid)} cells lack the common "
+            f"replicate count {r}: {', '.join(shown)}{', ...' if len(bad) > 5 else ''}"
+        )
+    values = np.array([cells[key] for key in grid], dtype=float)
+    return levels, values.reshape(*map(len, levels), r)
 
 
 def parse_one_way(text: str) -> OneWayDataset:
     """Parse ``level,value`` CSV content into a balanced one-way dataset.
 
-    Levels are ordered by first appearance and the replicate count is
-    inferred; unequal per-level counts raise :class:`BalanceError` and a
-    single level or single replicate raises :class:`DegenerateDesignError`.
+    Unequal per-level counts raise :class:`BalanceError`; a single level or
+    a single replicate raises :class:`DegenerateDesignError`.
     """
-    rows = _read_rows(text, ONE_WAY_HEADER)
-    groups: dict[str, list[float]] = {}
-    for label, raw in rows:
-        groups.setdefault(label, []).append(_parse_value(raw, f"level {label!r}"))
-
-    counts = {label: len(vals) for label, vals in groups.items()}
-    if len(set(counts.values())) > 1:
-        raise BalanceError(f"unbalanced replicate counts per level: {counts}")
-    p = len(groups)
-    r = next(iter(counts.values()))
-    if p < 2:
-        raise DegenerateDesignError("only one factor level present")
-    if r < 2:
-        raise DegenerateDesignError("only one replication per level")
-    values = np.array([groups[label] for label in groups], dtype=float)
-    return OneWayDataset(values=values, levels=tuple(groups))
+    (levels,), values = _parse_balanced(text, ONE_WAY_HEADER)
+    return OneWayDataset(values=values, levels=levels)
 
 
 def parse_two_way(text: str) -> TwoWayDataset:
     """Parse ``a,b,value`` CSV content into a balanced two-way dataset.
 
-    Every (a, b) cell of the full cross of observed labels must carry the
-    same number of replicates; a missing or short cell raises
+    A missing or short cell of the full cross of observed labels raises
     :class:`BalanceError`.
     """
-    rows = _read_rows(text, TWO_WAY_HEADER)
-    cells: dict[tuple[str, str], list[float]] = {}
-    a_levels: list[str] = []
-    b_levels: list[str] = []
-    for a_label, b_label, raw in rows:
-        if a_label not in a_levels:
-            a_levels.append(a_label)
-        if b_label not in b_levels:
-            b_levels.append(b_label)
-        key = (a_label, b_label)
-        cells.setdefault(key, []).append(_parse_value(raw, f"cell ({a_label!r},{b_label!r})"))
-
-    counts = {key: len(vals) for key, vals in cells.items()}
-    missing = [(a, b) for a in a_levels for b in b_levels if (a, b) not in cells]
-    if missing:
-        raise BalanceError(f"missing cells: {missing}")
-    if len(set(counts.values())) > 1:
-        raise BalanceError(f"unbalanced replicate counts per cell: {counts}")
-    p, q = len(a_levels), len(b_levels)
-    r = next(iter(counts.values()))
-    if p < 2 or q < 2:
-        raise DegenerateDesignError("both factors need at least 2 levels")
-    if r < 2:
-        raise DegenerateDesignError("only one replication per cell")
-    values = np.array(
-        [[cells[(a, b)] for b in b_levels] for a in a_levels], dtype=float
-    )
-    return TwoWayDataset(values=values, a_levels=tuple(a_levels), b_levels=tuple(b_levels))
+    (a_levels, b_levels), values = _parse_balanced(text, TWO_WAY_HEADER)
+    return TwoWayDataset(values=values, a_levels=a_levels, b_levels=b_levels)

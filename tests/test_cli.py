@@ -84,6 +84,15 @@ class TestRuntimeErrors:
         assert run(["bf", "one-way", "--input", path]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_undecodable_input(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"level,value\na,1\na,\xff2\nb,3\nb,4\n")
+        assert run(["bf", "one-way", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "byte offset 18" in err
+        assert "Traceback" not in err
+
     def test_oracle_overflow(self, capsys):
         assert run(["oracle", "check", "--p", "50", "--r", "50", "--ratio", "0.5"]) == 1
         err = capsys.readouterr().err

@@ -1,7 +1,17 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
-from anovabf.datasets import OneWayDataset, TwoWayDataset, parse_one_way, parse_two_way
+from anovabf.datasets import (
+    ONE_WAY_HEADER,
+    TWO_WAY_HEADER,
+    OneWayDataset,
+    TwoWayDataset,
+    parse_one_way,
+    parse_two_way,
+    write_csv,
+)
 from anovabf.errors import BalanceError, DegenerateDesignError, DomainError, ParseError
 
 ONE_WAY_SMALL = "level,value\na,1\na,1\nb,2\nb,2"
@@ -26,7 +36,72 @@ TWO_WAY_SHUFFLED = (
 )
 
 
-class TestParseOneWay:
+def shuffled_rows(cells, values, rng):
+    """Wire rows of dense ``values`` whose cells carry the label tuples ``cells``.
+
+    Replicate 0 of every cell comes first, in cell order, so labels first
+    appear in dataset order; each later replicate layer follows in random
+    cell order, so rows interleave across cells while each cell's own rows
+    stay in replicate order.
+    """
+    flat = values.reshape(len(cells), -1)
+    n = len(cells)
+    layers = [rng.permutation(n) if j else range(n) for j in range(flat.shape[1])]
+    return [[*cells[i], repr(float(flat[i, j]))] for j, order in enumerate(layers) for i in order]
+
+
+class ParseCases:
+    """Input errors and number formats, checked against each layout.
+
+    Subclasses set ``parse``, its ``header`` line and ``labels``, the label
+    tuple of each row of a balanced design with 2 replicates per cell.
+    """
+
+    def text(self, replace=None, header=None):
+        """A CSV of ``labels`` with values 0, 1, ..., or ``replace[i]`` for row i."""
+        values = [str(i) for i in range(len(self.labels))]
+        for index, value in (replace or {}).items():
+            values[index] = value
+        rows = [",".join((*labels, value)) for labels, value in zip(self.labels, values)]
+        return "\n".join([header or self.header, *rows])
+
+    def test_non_numeric_value(self):
+        with pytest.raises(ParseError, match=r"line 3\b"):
+            self.parse(self.text({1: "oops"}))
+
+    def test_non_finite_value(self):
+        with pytest.raises(ParseError, match=r"line 3\b"):
+            self.parse(self.text({1: "inf"}))
+
+    def test_bad_header(self):
+        with pytest.raises(ParseError):
+            self.parse(self.text(header=self.header.replace("value", "val")))
+
+    def test_empty_input(self):
+        with pytest.raises(ParseError):
+            self.parse("")
+
+    def test_header_only(self):
+        with pytest.raises(ParseError):
+            self.parse(self.header + "\n")
+
+    def test_wrong_field_count(self):
+        with pytest.raises(ParseError, match=r"line 2\b"):
+            self.parse(self.text({0: "1,extra"}))
+
+    def test_scientific_notation(self):
+        raw = ["1e-3", "2E2", "-3.5e0", "4", "5.5E+1", "6e0", "-7E-2", "8"]
+        expected = [1e-3, 200.0, -3.5, 4.0, 55.0, 6.0, -0.07, 8.0]
+        n = len(self.labels)
+        d = self.parse(self.text(dict(enumerate(raw[:n]))))
+        np.testing.assert_allclose(d.values.ravel(), expected[:n])
+
+
+class TestParseOneWay(ParseCases):
+    parse = staticmethod(parse_one_way)
+    header = "level,value"
+    labels = [(a,) for a in "ab" for _ in range(2)]
+
     def test_direct_transcription(self):
         d = parse_one_way(ONE_WAY_SMALL)
         assert d.p == 2
@@ -50,34 +125,6 @@ class TestParseOneWay:
         with pytest.raises(DegenerateDesignError):
             parse_one_way("level,value\na,1\nb,2")
 
-    def test_non_numeric_value(self):
-        with pytest.raises(ParseError):
-            parse_one_way("level,value\na,1\na,oops\nb,2\nb,2")
-
-    def test_non_finite_value(self):
-        with pytest.raises(ParseError):
-            parse_one_way("level,value\na,1\na,inf\nb,2\nb,2")
-
-    def test_bad_header(self):
-        with pytest.raises(ParseError):
-            parse_one_way("lvl,val\na,1\na,1\nb,2\nb,2")
-
-    def test_empty_input(self):
-        with pytest.raises(ParseError):
-            parse_one_way("")
-
-    def test_header_only(self):
-        with pytest.raises(ParseError):
-            parse_one_way("level,value\n")
-
-    def test_wrong_field_count(self):
-        with pytest.raises(ParseError):
-            parse_one_way("level,value\na,1,extra\na,1\nb,2\nb,2")
-
-    def test_scientific_notation(self):
-        d = parse_one_way("level,value\na,1e-3\na,2E2\nb,-3.5e0\nb,4")
-        np.testing.assert_allclose(d.values, [[1e-3, 200.0], [-3.5, 4.0]])
-
     def test_row_order_insensitive(self):
         shuffled = "level,value\nb,2\na,1\nb,2\na,1"
         d1 = parse_one_way(ONE_WAY_SMALL)
@@ -90,12 +137,17 @@ class TestParseOneWay:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(3)
         d = OneWayDataset(values=rng.normal(size=(4, 3)), levels=("a", "b", "c", "d"))
-        d2 = parse_one_way(d.to_csv())
+        rows = shuffled_rows([(label,) for label in d.levels], d.values, rng)
+        d2 = parse_one_way(write_csv(ONE_WAY_HEADER, rows))
         assert d2.levels == d.levels
         np.testing.assert_array_equal(d2.values, d.values)
 
 
-class TestParseTwoWay:
+class TestParseTwoWay(ParseCases):
+    parse = staticmethod(parse_two_way)
+    header = "a,b,value"
+    labels = [(a, b) for a in "xy" for b in "uv" for _ in range(2)]
+
     def test_full_cross(self):
         d = parse_two_way(TWO_WAY_SMALL)
         assert (d.p, d.q, d.r) == (2, 2, 2)
@@ -126,6 +178,28 @@ class TestParseTwoWay:
         with pytest.raises(BalanceError):
             parse_two_way(TWO_WAY_SMALL + "\nx,u,9")
 
+    # a 200x50 cross with 2 replicates per cell
+    GRID = [f"a{i},b{j},{i + j + k}" for i in range(200) for j in range(50) for k in range(2)]
+
+    def test_short_cell_error_is_short(self):
+        rows = [row for row in self.GRID if row != "a12,b17,29"]
+        with pytest.raises(BalanceError) as exc:
+            parse_two_way("\n".join(["a,b,value", *rows]))
+        message = str(exc.value)
+        assert len(message.encode()) < 500
+        assert "1 of 10000 cells" in message
+        assert "replicate count 2" in message
+        assert "'a12,b17' has 1" in message
+
+    def test_balance_error_names_at_most_five_cells(self):
+        rows = [row for row in self.GRID if not row.startswith("a0,")] + ["a0,b0,0"]
+        with pytest.raises(BalanceError) as exc:
+            parse_two_way("\n".join(["a,b,value", *rows]))
+        message = str(exc.value)
+        assert "50 of 10000 cells" in message
+        assert message.count(" has ") == 5
+        assert message.endswith(", ...")
+
     def test_single_replication(self):
         rows = "a,b,value\nx,u,1\nx,v,2\ny,u,3\ny,v,4"
         with pytest.raises(DegenerateDesignError):
@@ -134,7 +208,8 @@ class TestParseTwoWay:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(4)
         d = TwoWayDataset(values=rng.normal(size=(2, 3, 2)))
-        d2 = parse_two_way(d.to_csv())
+        rows = shuffled_rows(list(product(d.a_levels, d.b_levels)), d.values, rng)
+        d2 = parse_two_way(write_csv(TWO_WAY_HEADER, rows))
         assert (d2.p, d2.q, d2.r) == (d.p, d.q, d.r)
         np.testing.assert_array_equal(d2.values, d.values)
         assert d2.a_levels == d.a_levels
