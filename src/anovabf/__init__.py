@@ -54,10 +54,9 @@ from .simulation import (
     FrequencyTable,
     SimulationConfig,
     TruthSpec,
+    draw_one_way,
     make_alpha,
-    make_two_way_effects,
     run_frequency_experiment,
-    simulate_one_way,
 )
 from .sums_of_squares import OneWaySS, TwoWaySS, one_way_ss, two_way_ss
 
@@ -90,6 +89,7 @@ __all__ = [
     "beta_prime_log_density",
     "bf_quadrature",
     "choose_model",
+    "draw_one_way",
     "h_threshold",
     "integrate_unit_interval",
     "limit_we_wt",
@@ -98,7 +98,6 @@ __all__ = [
     "log_bf_integrand",
     "log_gamma",
     "make_alpha",
-    "make_two_way_effects",
     "one_way_report",
     "one_way_ss",
     "parse_one_way",
@@ -108,7 +107,6 @@ __all__ = [
     "rank_two_way_models",
     "run_frequency_experiment",
     "score",
-    "simulate_one_way",
     "two_way_consistency_window",
     "two_way_reports",
     "two_way_ss",

@@ -57,28 +57,30 @@ def _check_design(p: int, r: int) -> None:
         raise DomainError(f"need at least 2 levels and 2 replications, got p={p}, r={r}")
 
 
-def _log_bf_fb_kernel(n: int, s1: int, ratio: float) -> float:
+def _log_share(ratio: float) -> float:
+    """Log of a residual share in [0, 1]; a share of 0 gives -inf."""
+    return -INF if ratio == 0.0 else math.log(ratio)
+
+
+def _log_bf_fb_kernel(n: int, s1: int, log_ratio):
     """log fully-Bayes factor for an alternative with s1 mean parameters.
 
-    ratio is the residual share of the total sum of squares left by the
-    alternative; ratio 0 (perfect fit under a nonzero total) gives +inf.
+    log_ratio is the log of the residual share of the total sum of
+    squares left by the alternative, a float or an array of them; a share
+    of 0 (perfect fit under a nonzero total) gives +inf.
     """
-    if ratio == 0.0:
-        return INF
     constant = (
         log_gamma(s1 / 2.0)
         + log_gamma((n - s1) / 2.0)
         - log_gamma(0.5)
         - log_gamma((n - 1) / 2.0)
     )
-    return constant - ((n - s1 - 1) / 2.0) * math.log(ratio)
+    return constant - ((n - s1 - 1) / 2.0) * log_ratio
 
 
-def _log_bf_bic_kernel(n: int, s1: int, ratio: float) -> float:
+def _log_bf_bic_kernel(n: int, s1: int, log_ratio):
     """log BIC-based Bayes factor for an alternative with s1 mean parameters."""
-    if ratio == 0.0:
-        return INF
-    return -(n / 2.0) * math.log(ratio) - ((s1 - 1) / 2.0) * math.log(n)
+    return -(n / 2.0) * log_ratio - ((s1 - 1) / 2.0) * math.log(n)
 
 
 def posterior_prob(log_bf: float) -> float:
@@ -116,8 +118,9 @@ def score(n: int, s1: int, residual: float, total: float, alternative: Model) ->
     if total == 0.0:
         raise DegenerateDataError("total sum of squares is zero")
     ratio = min(max(residual / total, 0.0), 1.0)
-    log_fb = _log_bf_fb_kernel(n, s1, ratio)
-    log_bic = _log_bf_bic_kernel(n, s1, ratio)
+    log_ratio = _log_share(ratio)
+    log_fb = _log_bf_fb_kernel(n, s1, log_ratio)
+    log_bic = _log_bf_bic_kernel(n, s1, log_ratio)
     return BayesFactorReport(
         log_bf_fb=log_fb,
         log_bf_bic=log_bic,

@@ -224,6 +224,8 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     if truth_model is None:
         parser.error(f"unknown truth {args.truth!r} (expected M1 or MA1)")
     ca_list = args.ca if args.ca else [0.0]
+    if len(set(ca_list)) != len(ca_list):
+        parser.error(f"duplicate --ca values: {ca_list}")
     if truth_model is Model.NULL and any(ca != 0.0 for ca in ca_list):
         parser.error("--ca must be 0 under truth M1")
     try:

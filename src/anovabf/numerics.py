@@ -8,8 +8,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy import integrate
-
 from .errors import ConvergenceError, DomainError
 
 
@@ -63,6 +61,10 @@ def integrate_unit_interval(
     converge within the subdivision budget raises
     :class:`ConvergenceError` carrying the best estimate.
     """
+    # imported here: scipy.integrate costs most of the package's import
+    # time, and only the quadrature oracle needs it
+    from scipy import integrate
+
     result = integrate.quad(
         f,
         0.0,

@@ -1,11 +1,29 @@
 """Seeded Monte Carlo harness for model-selection frequencies.
 
-Generates balanced one-way data under a declared truth, runs both
-selection criteria through the full pipeline (simulation, sums of
-squares, Bayes factor, choice), and tabulates how often each criterion
-picks the true model. Every replication draws from its own counter-based
-substream keyed by (seed, p, r, replication), so the table is identical
-no matter how replications are ordered or distributed across workers.
+Generates balanced one-way data under a declared truth, scores both
+selection criteria (sums of squares, Bayes factors, choice), and
+tabulates how often each criterion picks the true model.
+
+Every replication draws from its own Philox stream (a counter-based
+generator; Salmon et al. 2011, "Parallel random numbers: as easy as
+1, 2, 3"), keyed as ``SeedSequence(entropy=seed, spawn_key=(p, r, rep))``
+would key it, with the counter at zero. The table therefore does not
+depend on how replications are ordered, chunked or distributed, and it
+equals, byte for byte, the table from drawing each replication through
+``Generator(Philox(SeedSequence(...)))``, which the tests use as the
+reference.
+
+Building one SeedSequence per replication costs more than drawing its
+data, so :func:`_replication_keys` derives a chunk's keys in one numpy
+pass. It takes the pool that SeedSequence mixes from the words of
+(seed, p, r), mixes in the replication word (``hashmix`` and ``mix``),
+and expands the pool as ``generate_state(2, np.uint64)`` does. Those
+steps are numpy's documented SeedSequence algorithm, whose output numpy
+keeps stable across releases; the keys must equal SeedSequence's bit
+for bit, or every frequency table changes. The draws then run through
+one Philox whose key is set, and counter zeroed, per replication into a
+buffer of about ``_CHUNK_VALUES`` values, and the sums of squares and
+both kernels are evaluated over the whole chunk at once.
 """
 
 from __future__ import annotations
@@ -16,44 +34,52 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bayes_factors import Criterion, Model, one_way_report
-from .consistency import EffectSizes
-from .datasets import OneWayDataset, write_csv
+from .bayes_factors import (
+    Criterion,
+    Model,
+    _log_bf_bic_kernel,
+    _log_bf_fb_kernel,
+    _log_share,
+)
+from .datasets import write_csv
 from .errors import DegenerateDataError, DomainError
 from .sums_of_squares import one_way_ss
 
 FREQUENCY_CSV_HEADER = ("criterion", "truth", "c_a", "p", "r", "frequency", "replications", "seed")
 
-# model -> effect sizes that must vanish under it
-_FORBIDDEN_EFFECTS = {
-    Model.NULL: ("c_a", "c_b", "c_ab"),
-    Model.FACTOR_A: ("c_b", "c_ab"),
-    Model.FACTOR_B: ("c_a", "c_ab"),
-    Model.ADDITIVE: ("c_ab",),
-    Model.FULL: (),
-}
+# values drawn per chunk (at least one replication's worth)
+_CHUNK_VALUES = 1 << 16
+
+_KERNELS = {Criterion.FB: _log_bf_fb_kernel, Criterion.BIC: _log_bf_bic_kernel}
+
+# SeedSequence's mixing constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 @dataclass(frozen=True)
 class TruthSpec:
-    """Data-generating truth: which model holds and with what effect sizes."""
+    """Data-generating one-way truth: the null or the level-means model."""
 
     model: Model
     c_a: float = 0.0
-    c_b: float = 0.0
-    c_ab: float = 0.0
     mu: float = 0.0
     sigma2: float = 1.0
 
     def __post_init__(self):
+        if self.model not in (Model.NULL, Model.FACTOR_A):
+            raise DomainError(f"simulation needs a one-way truth, got {self.model.value!r}")
+        if not (math.isfinite(self.mu) and math.isfinite(self.sigma2)):
+            raise DomainError("mu and sigma2 must be finite")
         if not self.sigma2 > 0:
             raise DomainError(f"sigma2 must be positive, got {self.sigma2}")
-        for name in ("c_a", "c_b", "c_ab"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be nonnegative")
-        for name in _FORBIDDEN_EFFECTS[self.model]:
-            if getattr(self, name) != 0.0:
-                raise DomainError(f"{name} must be 0 under model {self.model.value!r}")
+        if self.c_a < 0:
+            raise DomainError("c_a must be nonnegative")
+        if self.model is Model.NULL and self.c_a != 0.0:
+            raise DomainError(f"c_a must be 0 under model {self.model.value!r}")
 
 
 @dataclass(frozen=True)
@@ -72,12 +98,17 @@ class SimulationConfig:
             raise DomainError("p_list and r_list must be nonempty")
         if any(p < 2 for p in self.p_list) or any(r < 2 for r in self.r_list):
             raise DomainError("every p and r must be at least 2")
-        if self.replications < 1:
-            raise DomainError("replications must be at least 1")
+        if not 1 <= self.replications <= 2**32:
+            # each replication index is one 32-bit word of the stream key
+            raise DomainError("replications must be between 1 and 2**32")
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must fit in 64 unsigned bits")
         if not self.criteria:
             raise DomainError("at least one criterion required")
+        for name in ("p_list", "r_list", "criteria"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise DomainError(f"{name} has duplicate entries: {values}")
 
 
 @dataclass(frozen=True)
@@ -114,112 +145,160 @@ class FrequencyTable:
         return write_csv(FREQUENCY_CSV_HEADER, self.rows())
 
 
-def _sign_pattern(p: int) -> np.ndarray:
-    """Zero-sum vector of +1s, -1s, and a trailing 0 when p is odd."""
-    half = p // 2
-    pattern = np.zeros(p)
-    pattern[:half] = 1.0
-    pattern[half : 2 * half] = -1.0
-    return pattern
-
-
 def make_alpha(p: int, c_a: float, sigma2: float) -> np.ndarray:
     """Deterministic level effects with exact zero sum and prescribed size.
 
-    Scales the sign pattern so that sum(alpha**2)/(p*sigma2) equals c_a.
-    Any vector meeting the two constraints generates the same selection
-    law, since the data distribution depends on the effects only through
-    their sum of squares; a fixed pattern keeps runs reproducible.
+    Scales a sign pattern (+1s, -1s, and a trailing 0 when p is odd) so
+    that sum(alpha**2)/(p*sigma2) equals c_a. Any vector meeting the two
+    constraints generates the same selection law, since the data
+    distribution depends on the effects only through their sum of
+    squares; a fixed pattern keeps runs reproducible.
     """
     if p < 2:
         raise DomainError(f"need p >= 2, got {p}")
     if c_a < 0 or sigma2 <= 0:
         raise DomainError("need c_a >= 0 and sigma2 > 0")
-    pattern = _sign_pattern(p)
     if c_a == 0:
         return np.zeros(p)
+    half = p // 2
+    pattern = np.zeros(p)
+    pattern[:half] = 1.0
+    pattern[half : 2 * half] = -1.0
     delta = math.sqrt(c_a * p * sigma2 / float(np.sum(pattern**2)))
     return delta * pattern
 
 
-def make_two_way_effects(
-    p: int, q: int, e: EffectSizes, sigma2: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Main-effect vectors and interaction matrix with zero margins.
+def _words(value: int) -> int:
+    """Number of 32-bit words SeedSequence splits a nonnegative int into."""
+    return max(1, -(-value.bit_length() // 32))
 
-    The interaction is a scaled outer product of the two sign patterns,
-    so every row and column sums to zero by construction, and
-    sum(interaction**2)/(p*q*sigma2) equals c_ab.
+
+def _hashmix(value: np.ndarray, hash_const: int, multiplier: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash of 32-bit words held in uint64, and its next constant."""
+    value = value ^ np.uint64(hash_const)
+    hash_const = hash_const * multiplier & _MASK32
+    value = value * np.uint64(hash_const) & np.uint64(_MASK32)
+    return value ^ value >> np.uint64(16), hash_const
+
+
+def _replication_keys(seed: int, p: int, r: int, reps: range) -> np.ndarray:
+    """Philox keys of replications ``reps`` of cell (p, r), one row each.
+
+    Row i equals
+    ``SeedSequence(entropy=seed, spawn_key=(p, r, reps[i])).generate_state(2, np.uint64)``
+    for every replication index below 2**32.
     """
-    alpha = make_alpha(p, e.c_a, sigma2)
-    beta = make_alpha(q, e.c_b, sigma2)
-    u = _sign_pattern(p)
-    v = _sign_pattern(q)
-    if e.c_ab == 0:
-        interaction = np.zeros((p, q))
-    else:
-        norm = float(np.sum(u**2) * np.sum(v**2))
-        delta = math.sqrt(e.c_ab * p * q * sigma2 / norm)
-        interaction = delta * np.outer(u, v)
-    return alpha, beta, interaction
+    pool = np.random.SeedSequence(entropy=seed, spawn_key=(p, r)).pool
+    # hashmix calls made so far: fill the pool, mix it pairwise, then
+    # fold in each spawn-key word beyond the pool
+    calls = _POOL_SIZE + _POOL_SIZE * (_POOL_SIZE - 1) + _POOL_SIZE * (_words(p) + _words(r))
+    hash_const = _INIT_A * pow(_MULT_A, calls, 2**32) & _MASK32
+    word = np.arange(reps.start, reps.stop, reps.step, dtype=np.uint64)
+    state = []
+    for pool_word in pool.tolist():
+        # pool_word = mix(pool_word, hashmix(word))
+        hashed, hash_const = _hashmix(word, hash_const, _MULT_A)
+        mixed = np.uint64(_MIX_MULT_L * pool_word & _MASK32) - np.uint64(_MIX_MULT_R) * hashed
+        mixed &= np.uint64(_MASK32)
+        state.append(mixed ^ mixed >> np.uint64(16))
+    # generate_state(2, np.uint64): one hashed output word per pool word
+    hash_const = _INIT_B
+    for i in range(_POOL_SIZE):
+        state[i], hash_const = _hashmix(state[i], hash_const, _MULT_B)
+    keys = np.empty((len(word), 2), dtype=np.uint64)
+    keys[:, 0] = state[0] | state[1] << np.uint64(32)
+    keys[:, 1] = state[2] | state[3] << np.uint64(32)
+    return keys
 
 
-def simulate_one_way(
-    p: int, r: int, truth: TruthSpec, stream: np.random.Generator
-) -> OneWayDataset:
-    """Draw one balanced one-way dataset under the given truth."""
-    if truth.model not in (Model.NULL, Model.FACTOR_A):
-        raise DomainError(f"one-way simulation needs a one-way truth, got {truth.model!r}")
-    if truth.model is Model.FACTOR_A:
-        alpha = make_alpha(p, truth.c_a, truth.sigma2)
-    else:
-        alpha = np.zeros(p)
-    noise = stream.standard_normal((p, r))
-    values = truth.mu + alpha[:, None] + math.sqrt(truth.sigma2) * noise
-    return OneWayDataset(values=values)
+def draw_one_way(
+    seed: int, p: int, r: int, truth: TruthSpec, reps: range, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Balanced one-way datasets of replications ``reps`` of cell (p, r).
+
+    Returns an array of shape (len(reps), p, r), written into ``out``
+    when given. Replication ``rep`` is the data that a Philox stream
+    seeded with ``SeedSequence(entropy=seed, spawn_key=(p, r, rep))``
+    yields under the truth.
+    """
+    if out is None:
+        out = np.empty((len(reps), p, r))
+    alpha = make_alpha(p, truth.c_a, truth.sigma2)  # zeros under the null
+    bit_generator = np.random.Philox(0)  # re-keyed for every replication below
+    generator = np.random.Generator(bit_generator)
+    # a fresh stream: counter at zero, nothing buffered
+    zero = np.zeros(4, dtype=np.uint64)
+    key_and_counter = {"counter": zero, "key": zero}
+    state = {
+        "bit_generator": "Philox",
+        "state": key_and_counter,
+        "buffer": zero,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for i, key in enumerate(_replication_keys(seed, p, r, reps)):
+        key_and_counter["key"] = key
+        bit_generator.state = state
+        generator.standard_normal(out=out[i])
+    out *= math.sqrt(truth.sigma2)
+    out += truth.mu + alpha[:, None]
+    return out
 
 
-def _replication_stream(seed: int, p: int, r: int, rep: int) -> np.random.Generator:
-    # Counter-based generator with a spawn key per replication: results do
-    # not depend on the order replications are executed in.
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(p, r, rep))
-    return np.random.Generator(np.random.Philox(seq))
+def _alternative_hits(cfg: SimulationConfig, p: int, r: int) -> dict[Criterion, int]:
+    """Per criterion, how many replications of cell (p, r) favor the alternative."""
+    chunk = max(1, _CHUNK_VALUES // (p * r))
+    buffer = np.empty((min(chunk, cfg.replications), p, r))
+    hits = dict.fromkeys(cfg.criteria, 0)
+    where = f"at (p={p}, r={r}, seed={cfg.seed})"
+    for start in range(0, cfg.replications, chunk):
+        reps = range(start, min(start + chunk, cfg.replications))
+        # effects or data beyond the range of a double show up as sums of
+        # squares that are not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = draw_one_way(cfg.seed, p, r, cfg.truth, reps, out=buffer[: len(reps)])
+            ss = one_way_ss(values)
+        overflow = np.flatnonzero(~np.isfinite(ss.w_t))
+        if overflow.size:
+            raise DomainError(
+                f"replication {start + overflow[0]} {where} has a sum of squares that is not finite"
+            )
+        degenerate = np.flatnonzero(ss.w_t == 0.0)
+        if degenerate.size:
+            raise DegenerateDataError(
+                f"replication {start + degenerate[0]} {where} produced a zero total sum of squares"
+            )
+        ratio = np.clip(ss.w_e / ss.w_t, 0.0, 1.0)
+        # math.log, as the scalar path takes it: np.log may differ in the last bit
+        log_ratio = np.array([_log_share(x) for x in ratio.tolist()])
+        for criterion in cfg.criteria:
+            log_bf = _KERNELS[criterion](p * r, p, log_ratio)
+            hits[criterion] += int(np.count_nonzero(log_bf > 0))
+    return hits
 
 
 def run_frequency_experiment(cfg: SimulationConfig) -> FrequencyTable:
     """Tabulate how often each criterion selects the true model.
 
-    For every (p, r) in the grid, runs the configured number of
-    replications through simulation, sums of squares, both Bayes factors,
-    and the choice rule, scoring a hit when the chosen model is the
-    truth. A zero total sum of squares in any replication (probability
-    zero under a continuous noise law) aborts with diagnostics.
+    For every (p, r) in the grid, draws the configured number of
+    replications chunk by chunk and scores each through the sums of
+    squares and both Bayes factors. A criterion picks the alternative
+    when its log Bayes factor is positive and the null otherwise, the
+    rule of :func:`~anovabf.bayes_factors.choose_model`. A zero total sum
+    of squares in any replication (probability zero under a continuous
+    noise law), or one that is not finite, aborts with diagnostics.
     """
-    truth = cfg.truth
-    frequencies: dict[tuple[Criterion, int, int], float] = {}
-    for criterion in cfg.criteria:
-        for p, r in itertools.product(cfg.p_list, cfg.r_list):
-            frequencies[(criterion, p, r)] = 0.0
+    reps = cfg.replications
+    hits = {}
     for p, r in itertools.product(cfg.p_list, cfg.r_list):
-        hits = {criterion: 0 for criterion in cfg.criteria}
-        for rep in range(cfg.replications):
-            stream = _replication_stream(cfg.seed, p, r, rep)
-            dataset = simulate_one_way(p, r, truth, stream)
-            ss = one_way_ss(dataset)
-            if ss.w_t == 0.0:
-                raise DegenerateDataError(
-                    f"replication {rep} at (p={p}, r={r}, seed={cfg.seed}) "
-                    "produced a zero total sum of squares"
-                )
-            report = one_way_report(ss, p, r)
-            for criterion in cfg.criteria:
-                chosen = report.choice_fb if criterion is Criterion.FB else report.choice_bic
-                hits[criterion] += chosen is truth.model
-        for criterion in cfg.criteria:
-            frequencies[(criterion, p, r)] = hits[criterion] / cfg.replications
+        for criterion, alternative in _alternative_hits(cfg, p, r).items():
+            null = reps - alternative
+            hits[(criterion, p, r)] = alternative if cfg.truth.model is Model.FACTOR_A else null
+    keys = itertools.product(cfg.criteria, cfg.p_list, cfg.r_list)
     return FrequencyTable(
-        truth=truth,
-        replications=cfg.replications,
+        truth=cfg.truth,
+        replications=reps,
         seed=cfg.seed,
-        frequencies=frequencies,
+        frequencies={key: hits[key] / reps for key in keys},
     )

@@ -17,7 +17,10 @@ from .datasets import OneWayDataset, TwoWayDataset
 
 @dataclass(frozen=True)
 class OneWaySS:
-    """Total / within-group / between-group sums of squares."""
+    """Total / within-group / between-group sums of squares.
+
+    Floats for one dataset; arrays over the leading axes of a batch.
+    """
 
     w_t: float
     w_e: float
@@ -35,20 +38,26 @@ class TwoWaySS:
     w_e: float
 
 
-def one_way_ss(dataset: OneWayDataset) -> OneWaySS:
-    """Decompose a balanced one-way dataset.
+def one_way_ss(data: OneWayDataset | np.ndarray) -> OneWaySS:
+    """Decompose a balanced one-way dataset, or a batch of them.
 
     w_e sums squared deviations from level means, w_h squared deviations
     of level means from the grand mean (over all observations), and
     w_t = w_e + w_h by construction. Constant data yields all zeros;
     rejecting that degenerate case is the consumer's concern.
+
+    ``data`` is a dataset or an array of shape (..., p, r). The leading
+    axes of an array index datasets, and the fields are then arrays over
+    them; each dataset's sums equal those of its own 2-D slice bit for bit.
     """
-    y = dataset.values
-    r = dataset.r
-    level_means = y.mean(axis=1)
-    grand_mean = level_means.mean()
-    w_e = float(np.sum((y - level_means[:, None]) ** 2))
-    w_h = float(r * np.sum((level_means - grand_mean) ** 2))
+    y = data.values if isinstance(data, OneWayDataset) else np.asarray(data)
+    r = y.shape[-1]
+    level_means = y.mean(axis=-1)
+    grand_mean = level_means.mean(axis=-1)
+    w_e = np.sum((y - level_means[..., None]) ** 2, axis=(-2, -1))
+    w_h = r * np.sum((level_means - grand_mean[..., None]) ** 2, axis=-1)
+    if y.ndim == 2:
+        w_e, w_h = float(w_e), float(w_h)
     return OneWaySS(w_t=w_e + w_h, w_e=w_e, w_h=w_h)
 
 

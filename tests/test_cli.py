@@ -61,6 +61,7 @@ class TestUsageErrors:
             ["simulate", "--truth", "bogus", "--p", "2", "--r", "2"],
             ["simulate", "--truth", "m1", "--p", "2", "--r", "2", "--ca", "1"],
             ["simulate", "--truth", "ma1", "--p", "2", "--r", "2", "--criteria", "fb,bogus"],
+            ["simulate", "--truth", "ma1", "--p", "2", "--r", "2", "--ca", "1", "--ca", "1.0"],
         ],
     )
     def test_rejected_with_code_two(self, argv):
@@ -91,6 +92,21 @@ class TestRuntimeErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "byte offset 18" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--p", "3", "--p", "3", "--r", "2"],
+            ["--p", "3", "--r", "2", "--r", "2"],
+            ["--p", "3", "--r", "2", "--criteria", "fb,FB"],
+        ],
+        ids=["p", "r", "criteria"],
+    )
+    def test_duplicate_grid_values(self, grid, capsys):
+        assert run(["simulate", "--truth", "ma1", "--ca", "1", "--reps", "5", *grid]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "duplicate" in err
         assert "Traceback" not in err
 
     def test_oracle_overflow(self, capsys):
@@ -341,6 +357,50 @@ class TestInstalledEntryPoints:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"r": 2, "h": 1.0}
+
+    # prints the scipy modules loaded after importing the package and, when
+    # argv is given, running the CLI on it in the same interpreter
+    SCIPY_PROBE = (
+        "import sys\n"
+        "import anovabf.cli\n"
+        "if sys.argv[1:]:\n"
+        "    try:\n"
+        "        anovabf.cli.run(sys.argv[1:])\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'], file=sys.stderr)\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["--help"],
+            ["bf", "one-way", "--input", "{input}"],
+            ["simulate", "--truth", "ma1", "--p", "3", "--r", "2", "--ca", "1", "--reps", "20"],
+        ],
+        ids=["import", "help", "bf-one-way", "simulate"],
+    )
+    def test_scipy_not_imported(self, argv, tmp_path, child_env):
+        argv = [arg.format(input=write(tmp_path, "d.csv", ONE_WAY_CSV)) for arg in argv]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCIPY_PROBE, *argv],
+            capture_output=True,
+            text=True,
+            env=child_env,
+        )
+        assert proc.stderr.splitlines()[-1] == "[]"
+
+    def test_oracle_imports_scipy(self, child_env):
+        # the probe above can see scipy when it is loaded
+        argv = ["oracle", "check", "--p", "3", "--r", "2", "--ratio", "0.5"]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCIPY_PROBE, *argv],
+            capture_output=True,
+            text=True,
+            env=child_env,
+        )
+        assert "'scipy.integrate'" in proc.stderr.splitlines()[-1]
 
     def test_identical_runs_identical_bytes(self, child_env):
         argv = [

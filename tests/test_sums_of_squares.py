@@ -133,3 +133,15 @@ def test_scale_equivariance():
     np.testing.assert_allclose(scaled.w_e, s**2 * base.w_e, rtol=1e-12)
     np.testing.assert_allclose(scaled.w_h, s**2 * base.w_h, rtol=1e-12)
     np.testing.assert_allclose(scaled.w_e / scaled.w_t, base.w_e / base.w_t, rtol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (10, 5), (100, 2), (17, 13), (300, 40)])
+def test_one_way_batch_equals_each_dataset(shape):
+    rng = np.random.default_rng(sum(shape))
+    batch = rng.standard_normal((7, *shape)) * 3.0 + 1.5
+    ss = one_way_ss(batch)
+    assert ss.w_e.shape == ss.w_h.shape == ss.w_t.shape == (7,)
+    for i in range(7):
+        single = one_way_ss(OneWayDataset(values=batch[i]))
+        assert (ss.w_e[i], ss.w_h[i], ss.w_t[i]) == (single.w_e, single.w_h, single.w_t)
+    assert one_way_ss(batch[0]) == one_way_ss(OneWayDataset(values=batch[0]))
