@@ -37,18 +37,13 @@ from .errors import (
     DomainError,
     ParseError,
 )
-from .numerics import (
-    QuadratureSpec,
-    Regime,
-    integrate_unit_interval,
-    log_beta,
-    log_gamma,
-)
+from .numerics import Regime, integrate, log_beta, log_gamma
 from .prior import (
     BetaPrimePrior,
     beta_prime_log_density,
     bf_quadrature,
     log_bf_integrand,
+    log_bf_quadrature,
 )
 from .simulation import (
     FrequencyTable,
@@ -78,7 +73,6 @@ __all__ = [
     "OneWayDataset",
     "OneWaySS",
     "ParseError",
-    "QuadratureSpec",
     "RatioLimit",
     "Regime",
     "SimulationConfig",
@@ -91,11 +85,12 @@ __all__ = [
     "choose_model",
     "draw_one_way",
     "h_threshold",
-    "integrate_unit_interval",
+    "integrate",
     "limit_we_wt",
     "log_beta",
     "log_bf_fb_one_way",
     "log_bf_integrand",
+    "log_bf_quadrature",
     "log_gamma",
     "make_alpha",
     "one_way_report",

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .bayes_factors import Criterion, Model
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .numerics import Regime, log_gamma
 
 
@@ -30,6 +30,7 @@ class EffectSizes:
     c_ab: float = 0.0
 
     def __post_init__(self):
+        require_finite("effect size", c_a=self.c_a, c_b=self.c_b, c_ab=self.c_ab)
         if self.c_a < 0 or self.c_b < 0 or self.c_ab < 0:
             raise DomainError("effect sizes must be nonnegative")
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class AnovaBFError(Exception):
     """Base class for all errors raised by this package."""
@@ -34,3 +36,10 @@ class ConvergenceError(AnovaBFError):
     def __init__(self, message: str, estimate: float):
         super().__init__(message)
         self.estimate = estimate
+
+
+def require_finite(owner: str, **fields: float) -> None:
+    """Raise :class:`DomainError` naming the first field that is NaN or infinite."""
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{owner} {name} must be finite, got {value}")

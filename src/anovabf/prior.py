@@ -1,9 +1,11 @@
-"""Beta-prime hyperprior and quadrature Bayes factors.
+"""Beta-prime hyperprior and the quadrature Bayes factor.
 
 This is the numerical route the closed forms are checked against: the
-Bayes factor as an explicit mixture over the prior scale g, evaluated by
-adaptive quadrature. It also supports hyperprior parameters off the
-closed-form manifold, including the hyper-g case b = 0.
+Bayes factor as an explicit mixture over the prior scale g, integrated
+by adaptive quadrature over u = log g in log space, so factors far
+beyond the range of a double are checked too. It also supports
+hyperprior parameters off the closed-form manifold, including the
+hyper-g case b = 0.
 """
 
 from __future__ import annotations
@@ -11,27 +13,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .numerics import QuadratureSpec, integrate_unit_interval, log_beta
+from .errors import DomainError, require_finite
+from .numerics import integrate, log_beta
 
-# Node count for locating the integrand's maximum before exponentiating.
-_SCAN_NODES = 512
-# math.exp overflows past ~709.78; values this large only arise between
-# scan nodes on pathological inputs, so saturating is safe.
-_EXP_CLAMP = 700.0
+# The integration range ends where the log integrand is this far below its
+# peak; the tails beyond hold a negligible share of the mass.
+_TAIL_DROP = 60.0
 
 
 @dataclass(frozen=True)
 class BetaPrimePrior:
     """Beta-prime mixing density g^b (1+g)^(-a-b-2) / B(a+1, b+1) on (0, inf).
 
-    Proper exactly when a > -1 and b > -1; enforced at construction.
+    a and b must be finite, and the prior is proper exactly when a > -1
+    and b > -1; both are enforced at construction.
     """
 
     a: float
     b: float
 
     def __post_init__(self):
+        require_finite("beta-prime prior", a=self.a, b=self.b)
         if not (self.a > -1.0 and self.b > -1.0):
             raise DomainError(
                 f"beta-prime prior requires a > -1 and b > -1, got a={self.a}, b={self.b}"
@@ -92,33 +94,78 @@ def log_bf_integrand(
     )
 
 
-def bf_quadrature(
-    n: int,
-    p_alt: int,
-    ratio: float,
-    prior: BetaPrimePrior,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Bayes factor by numerical integration over the prior scale.
+def _softplus(u: float) -> float:
+    """log(1 + e**u) without overflow."""
+    return max(u, 0.0) + math.log1p(math.exp(-abs(u)))
 
-    Substitutes t = g/(1+g) so the improper integral lives on (0, 1); the
-    Jacobian 1/(1-t)^2 joins the integrand in log space. The log integrand
-    is shifted by its maximum over a uniform scan before exponentiating,
-    since for large n it spans hundreds of orders of magnitude.
+
+def _sigmoid(u: float) -> float:
+    return math.exp(u - _softplus(u))
+
+
+def _softplus_step(v: float):
+    """x -> softplus(v + x) - softplus(v), without cancellation near x = 0.
+
+    For v <= 0 this is log1p(sigmoid(v) * expm1(x)), whose argument stays
+    above -1/2; for v > 0 it is the mirror x + step(-v)(-x). Past
+    x = 700, where expm1 overflows, the plain difference is exact enough.
     """
-    _check_bf_args(n, p_alt, ratio)
-
-    def log_integrand_t(t: float) -> float:
-        g = t / (1.0 - t)
-        return log_bf_integrand(n, p_alt, ratio, prior, g) - 2.0 * math.log1p(-t)
-
-    peak = max(
-        log_integrand_t((k + 0.5) / _SCAN_NODES) for k in range(_SCAN_NODES)
+    if v > 0.0:
+        mirror = _softplus_step(-v)
+        return lambda x: x + mirror(-x)
+    base, sigmoid = _softplus(v), _sigmoid(v)
+    return lambda x: (
+        _softplus(v + x) - base if x > 700.0 else math.log1p(sigmoid * math.expm1(x))
     )
 
-    def shifted(t: float) -> float:
-        return math.exp(min(log_integrand_t(t) - peak, _EXP_CLAMP))
 
-    integral = integrate_unit_interval(shifted, spec)
-    return math.exp(peak) * integral
+def log_bf_quadrature(n: int, p_alt: int, ratio: float, prior: BetaPrimePrior) -> float:
+    """log Bayes factor by numerical integration over u = log g.
 
+    The log integrand is alpha*softplus(u) - beta*softplus(u + log ratio)
+    + (b+1)*u - log B(a+1, b+1), with alpha = (n-p_alt)/2 - a - b - 2 and
+    beta = (n-1)/2. Its slope goes from b+1 > 0 at -inf to
+    -(p_alt-1)/2 - a - 1 < 0 at +inf, so it has a mode m. The integrand,
+    relative to its value at m, is integrated over segments that double
+    in length away from m until it is _TAIL_DROP below the peak; the log
+    of that integral is added back to the peak.
+    """
+    # scipy.integrate, which numerics.integrate loads, loads scipy.optimize
+    from scipy.optimize import brentq
+
+    _check_bf_args(n, p_alt, ratio)
+    alpha = (n - p_alt) / 2.0 - prior.a - prior.b - 2.0
+    beta, k, log_ratio = (n - 1) / 2.0, prior.b + 1.0, math.log(ratio)
+
+    def slope(u: float) -> float:
+        return alpha * _sigmoid(u) - beta * _sigmoid(u + log_ratio) + k
+
+    lo, hi = -1.0, 1.0
+    while slope(lo) <= 0.0:
+        lo *= 2.0
+    while slope(hi) >= 0.0:
+        hi *= 2.0
+    m = brentq(slope, lo, hi)
+    peak = alpha * _softplus(m) - beta * _softplus(m + log_ratio) + k * m
+    step_a, step_b = _softplus_step(m), _softplus_step(m + log_ratio)
+
+    def shifted(x: float) -> float:
+        return alpha * step_a(x) - beta * step_b(x) + k * x
+
+    # the segments start at the peak's width, capped at 1 so that a long
+    # flat stretch next to a sharp mode is still resolved
+    curvature = beta * _sigmoid(m + log_ratio) * _sigmoid(-m - log_ratio)
+    curvature -= alpha * _sigmoid(m) * _sigmoid(-m)
+    nodes = [max(curvature, 1.0) ** -0.5]
+    while shifted(nodes[-1]) > -_TAIL_DROP or shifted(-nodes[-1]) > -_TAIL_DROP:
+        nodes.append(2.0 * nodes[-1])
+    nodes = [-x for x in reversed(nodes)] + nodes
+    mass = sum(
+        integrate(lambda x: math.exp(shifted(x)), lo, hi) for lo, hi in zip(nodes, nodes[1:])
+    )
+    return peak - log_beta(prior.a + 1.0, k) + math.log(mass)
+
+
+def bf_quadrature(n: int, p_alt: int, ratio: float, prior: BetaPrimePrior) -> float:
+    """exp of :func:`log_bf_quadrature`; raises OverflowError past a double."""
+    return math.exp(log_bf_quadrature(n, p_alt, ratio, prior))

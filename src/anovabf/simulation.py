@@ -42,7 +42,7 @@ from .bayes_factors import (
     _log_share,
 )
 from .datasets import write_csv
-from .errors import DegenerateDataError, DomainError
+from .errors import DegenerateDataError, DomainError, require_finite
 from .sums_of_squares import one_way_ss
 
 FREQUENCY_CSV_HEADER = ("criterion", "truth", "c_a", "p", "r", "frequency", "replications", "seed")
@@ -72,8 +72,7 @@ class TruthSpec:
     def __post_init__(self):
         if self.model not in (Model.NULL, Model.FACTOR_A):
             raise DomainError(f"simulation needs a one-way truth, got {self.model.value!r}")
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma2)):
-            raise DomainError("mu and sigma2 must be finite")
+        require_finite("truth", c_a=self.c_a, mu=self.mu, sigma2=self.sigma2)
         if not self.sigma2 > 0:
             raise DomainError(f"sigma2 must be positive, got {self.sigma2}")
         if self.c_a < 0:

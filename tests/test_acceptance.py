@@ -17,7 +17,7 @@ import pytest
 from anovabf.bayes_factors import Criterion, Model, log_bf_fb_one_way, two_way_reports
 from anovabf.consistency import asymptotic_log_bf, h_threshold, limit_we_wt
 from anovabf.datasets import OneWayDataset, TwoWayDataset
-from anovabf.numerics import QuadratureSpec, integrate_unit_interval, Regime
+from anovabf.numerics import Regime, integrate
 from anovabf.prior import BetaPrimePrior, beta_prime_log_density, bf_quadrature
 from anovabf.simulation import SimulationConfig, TruthSpec, run_frequency_experiment
 from anovabf.sums_of_squares import OneWaySS, one_way_ss, two_way_ss
@@ -91,7 +91,7 @@ def prior_mass(prior):
         g = t / (1.0 - t)
         return math.exp(beta_prime_log_density(prior, g) - 2.0 * math.log1p(-t))
 
-    return integrate_unit_interval(integrand, QuadratureSpec())
+    return integrate(integrand, 0.0, 1.0)
 
 
 def test_criterion_1_closed_form_matches_quadrature(announce):

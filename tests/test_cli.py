@@ -1,6 +1,7 @@
 import hashlib
 import importlib.metadata
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -109,13 +110,22 @@ class TestRuntimeErrors:
         assert err.startswith("error:") and "duplicate" in err
         assert "Traceback" not in err
 
-    def test_oracle_overflow(self, capsys):
-        assert run(["oracle", "check", "--p", "50", "--r", "50", "--ratio", "0.5"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "closed-form log Bayes factor" in err
-        assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["oracle", "check", "--p", "3", "--r", "2", "--ratio", "0.5", "--b", "inf"], "b"),
+            (["simulate", "--truth", "ma1", "--p", "2", "--r", "2", "--ca", "nan"], "c_a"),
+            (["simulate", "--truth", "ma1", "--p", "2", "--r", "2", "--ca", "inf"], "c_a"),
+            (["consistency", "two-way", "--r", "2", "--ca", "nan"], "c_a"),
+        ],
+        ids=["oracle-b-inf", "simulate-ca-nan", "simulate-ca-inf", "consistency-ca-nan"],
+    )
+    def test_non_finite_parameter_named(self, argv, field, capsys):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f" {field} must be finite" in err
+        assert "Traceback" not in err
 
 class TestBayesFactorCommand:
     def test_one_way_json_document(self, tmp_path, capsys):
@@ -171,8 +181,8 @@ class TestOracleCommand:
         assert doc["prior_matches_closed_form"] is True
         assert doc["within_tolerance"] is True
         assert doc["relative_difference"] < 1e-8
-        assert doc["closed_form_bf"] == pytest.approx(2.0 / 3.0, rel=1e-9)
-        assert doc["quadrature_bf"] == pytest.approx(2.0 / 3.0, rel=1e-9)
+        assert doc["closed_form_log_bf"] == pytest.approx(math.log(2.0 / 3.0), abs=1e-9)
+        assert doc["quadrature_log_bf"] == pytest.approx(math.log(2.0 / 3.0), abs=1e-9)
 
     def test_off_closure_prior_reports_no_verdict(self, capsys):
         doc = run_json(
@@ -182,7 +192,19 @@ class TestOracleCommand:
         assert doc["prior_matches_closed_form"] is False
         assert doc["relative_difference"] is None
         assert doc["within_tolerance"] is None
-        assert doc["quadrature_bf"] != pytest.approx(doc["closed_form_bf"], rel=1e-3)
+        assert doc["quadrature_log_bf"] != pytest.approx(doc["closed_form_log_bf"], abs=1e-3)
+
+    def test_log_bf_beyond_double_range(self, capsys):
+        doc = run_json(capsys, ["oracle", "check", "--p", "50", "--r", "50", "--ratio", "0.5"])
+        assert doc["within_tolerance"] is True
+        assert doc["quadrature_log_bf"] == pytest.approx(728.5256, abs=1e-4)
+
+    def test_peak_far_from_unit_scale(self, capsys):
+        # the closed form is 0.118; a scan over t = g/(1+g) once returned 2.2e-234
+        doc = run_json(
+            capsys, ["oracle", "check", "--p", "2", "--r", "500000", "--ratio", "0.99999"]
+        )
+        assert doc["within_tolerance"] is True
 
 
 class TestConsistencyCommand:
@@ -292,8 +314,8 @@ GOLDEN_SHA256 = {
     "bf-two-way-csv": "320d8b272c35d40e122ee459515d76c2e84d7ab19d0f7b020221676dafaa72fe",
     "bf-two-way-shuffled-json": "795c49791c249d8562ae8109e53e8d0ea8f89e550f05a60d6953dabf69d3d115",
     "bf-two-way-shuffled-csv": "920d55491d953863235ae4a5058c1b75c3d8a7873854c669aeb39dbcdeabf7ef",
-    "oracle-closure": "2a7988efb3e49d9ca0b1b3dc2eb6838c1da7c5d55a7f47c8b67a89809521665f",
-    "oracle-off-closure": "7e14887391b4aa2ce2bc0e1cfcdfd69701de09c639ed10587a36b91b96da50b5",
+    "oracle-closure": "896d54d04c489299664ebefdbd49af835706188960b69292cc74858a95173c03",
+    "oracle-off-closure": "1c7a75168f9951399fba2ef8f37e27d093eb96cea7623d6ee5e0f0dd86be2b6e",
     "consistency-h": "a6823b28288b751efed1de943e23458defbaff9ed8fe919fa094eec0bb2055cf",
     "consistency-two-way": "dd01a7e31acb70bc5df1f87a3d059b45c1263a7519589446a6f184987811d920",
     "consistency-mse-gap": "3f63a72f4c59774a58eca6336bdf61813653be9aaac91d1a102e977d2ec6878a",

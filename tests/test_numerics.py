@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from anovabf.errors import ConvergenceError, DomainError
-from anovabf.numerics import (
-    QuadratureSpec,
-    integrate_unit_interval,
-    log_beta,
-    log_gamma,
-)
+from anovabf.numerics import integrate, log_beta, log_gamma
 
 LOG_PI = 1.14472988584940017414342735135
 LOG_GAMMA_HALF = 0.572364942924700087071713675677
@@ -89,37 +84,21 @@ class TestLogBeta:
             log_beta(1.0, -2.0)
 
 
-class TestQuadratureSpec:
-    def test_defaults(self):
-        spec = QuadratureSpec()
-        assert spec.abs_tol == 1e-12
-        assert spec.rel_tol == 1e-10
-        assert spec.max_subdivisions == 2000
-
-    def test_rejects_bad_tolerances(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(rel_tol=-1e-8)
-        with pytest.raises(DomainError):
-            QuadratureSpec(max_subdivisions=0)
-
-
 class TestIntegrateUnitInterval:
     def test_constant(self):
-        np.testing.assert_allclose(integrate_unit_interval(lambda t: 1.0), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(integrate(lambda t: 1.0, 0.0, 1.0), 1.0, rtol=1e-12)
 
     def test_linear(self):
-        np.testing.assert_allclose(integrate_unit_interval(lambda t: t), 0.5, rtol=1e-12)
+        np.testing.assert_allclose(integrate(lambda t: t, 0.0, 1.0), 0.5, rtol=1e-12)
 
     def test_inverse_square_root(self):
         np.testing.assert_allclose(
-            integrate_unit_interval(lambda t: t**-0.5), 2.0, rtol=1e-10
+            integrate(lambda t: t**-0.5, 0.0, 1.0), 2.0, rtol=1e-10
         )
 
     @pytest.mark.parametrize("c", [-0.9, -0.5, 0.0, 1.0, 4.0])
     def test_monomials(self, c):
-        value = integrate_unit_interval(lambda t: t**c)
+        value = integrate(lambda t: t**c, 0.0, 1.0)
         np.testing.assert_allclose(value, 1.0 / (c + 1.0), rtol=1e-10)
 
     def test_nodes_stay_interior(self):
@@ -127,9 +106,9 @@ class TestIntegrateUnitInterval:
             assert 0.0 < t < 1.0
             return t**-0.5
 
-        np.testing.assert_allclose(integrate_unit_interval(f), 2.0, rtol=1e-10)
+        np.testing.assert_allclose(integrate(f, 0.0, 1.0), 2.0, rtol=1e-10)
 
     def test_divergent_integrand_raises_with_estimate(self):
         with pytest.raises(ConvergenceError) as excinfo:
-            integrate_unit_interval(lambda t: 1.0 / t)
+            integrate(lambda t: 1.0 / t, 0.0, 1.0)
         assert isinstance(excinfo.value.estimate, float)

@@ -5,12 +5,13 @@ import pytest
 
 from anovabf.bayes_factors import log_bf_fb_one_way
 from anovabf.errors import DomainError
-from anovabf.numerics import QuadratureSpec, integrate_unit_interval
+from anovabf.numerics import integrate
 from anovabf.prior import (
     BetaPrimePrior,
     beta_prime_log_density,
     bf_quadrature,
     log_bf_integrand,
+    log_bf_quadrature,
 )
 from anovabf.sums_of_squares import OneWaySS
 
@@ -25,7 +26,7 @@ def prior_mass(prior):
         g = t / (1.0 - t)
         return math.exp(beta_prime_log_density(prior, g) - 2.0 * math.log1p(-t))
 
-    return integrate_unit_interval(integrand, QuadratureSpec())
+    return integrate(integrand, 0.0, 1.0)
 
 
 class TestBetaPrimePrior:
@@ -148,3 +149,57 @@ class TestQuadrature:
         off = bf_quadrature(10, 3, 0.5, BetaPrimePrior.hyper_g())
         assert on > 0 and off > 0
         assert abs(on - off) / on > 1e-3
+
+
+def log_bf_hyper_g(n, p_alt, ratio, a):
+    """Liang et al. (2008, eq. 17): the hyper-g factor as a Gauss 2F1.
+
+    BF = (a'-2)/(p_alt-1+a'-2) 2F1((n-1)/2, 1; (p_alt-1+a')/2; 1-ratio)
+    with a' = 2a+4, for the density (a+1)(1+g)^(-a-2), evaluated at 30
+    digits.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        front = mp.log(mp.mpf(2 * (a + 1)) / (p_alt + 2 * a + 1))
+        series = mp.hyp2f1(mp.mpf(n - 1) / 2, 1, mp.mpf(p_alt + 2 * a + 3) / 2, 1 - mp.mpf(ratio))
+        return float(front + mp.log(series))
+
+
+class TestLogQuadrature:
+    @pytest.mark.parametrize(
+        "n,p_alt,ratio",
+        [(10**6, 2, 0.99999), (10**7, 5, 0.999999), (2500, 50, 0.5), (10**7, 2, 0.5)],
+    )
+    def test_matches_closed_form_at_scale(self, n, p_alt, ratio):
+        # the first two were silent misses of the linear scan, the last two
+        # overflow a double
+        ss = OneWaySS(w_t=1.0, w_e=ratio, w_h=1.0 - ratio)
+        closed = log_bf_fb_one_way(ss, p_alt, n // p_alt)
+        value = log_bf_quadrature(n, p_alt, ratio, BetaPrimePrior.for_closed_form(n, p_alt))
+        assert abs(value - closed) <= 1e-8 * max(1.0, abs(closed))
+
+    def test_linear_value_overflows_past_a_double(self):
+        prior = BetaPrimePrior.for_closed_form(2500, 50)
+        with pytest.raises(OverflowError):
+            bf_quadrature(2500, 50, 0.5, prior)
+
+    @pytest.mark.parametrize("a", [-0.5, 0.0, 1.0])
+    @pytest.mark.parametrize("p_alt,r", [(2, 2), (3, 5), (5, 10), (10, 20)])
+    @pytest.mark.parametrize("ratio", [0.05, 0.3, 0.7, 0.99])
+    def test_hyper_g_matches_liang_2f1(self, a, p_alt, r, ratio):
+        n = p_alt * r
+        value = log_bf_quadrature(n, p_alt, ratio, BetaPrimePrior.hyper_g(a))
+        assert abs(value - log_bf_hyper_g(n, p_alt, ratio, a)) <= 1e-8
+
+    def test_hyper_g_flat_stretch_between_two_scales(self):
+        # at ratio 1e-20 the log integrand is flat for about 46 units of
+        # log g, far wider than its curvature at the mode suggests
+        value = log_bf_quadrature(4, 2, 1e-20, BetaPrimePrior.hyper_g(0.0))
+        assert abs(value - log_bf_hyper_g(4, 2, 1e-20, 0.0)) <= 1e-8
+
+    def test_long_tail_beside_narrow_peak(self):
+        # b near -1 gives a tail of slope 1e-3 in log g next to a peak about
+        # 10 units wide; 9.25097492831208 is an mpmath quadrature over
+        # log g at 30 digits
+        value = log_bf_quadrature(6, 3, 1e-5, BetaPrimePrior(a=-0.999, b=-0.999))
+        assert abs(value - 9.25097492831208) <= 1e-8 * 9.25097492831208
