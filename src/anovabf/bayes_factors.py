@@ -134,7 +134,8 @@ def score(n: int, s1: int, residual: float, total: float, alternative: Model) ->
 def one_way_report(ss: OneWaySS, p: int, r: int) -> BayesFactorReport:
     """Decision report for the level-means model against the common mean."""
     _check_design(p, r)
-    return score(p * r, p, ss.w_e, ss.w_e + ss.w_h, Model.FACTOR_A)
+    unit = ss.unit or ss
+    return score(p * r, p, unit.w_e, unit.w_e + unit.w_h, Model.FACTOR_A)
 
 
 def log_bf_fb_one_way(ss: OneWaySS, p: int, r: int) -> float:
@@ -161,9 +162,10 @@ def two_way_reports(ss: TwoWaySS, p: int, q: int, r: int) -> dict[Model, BayesFa
     """Decision report for every two-way alternative against the common mean."""
     _check_design(p, r)
     _check_design(q, r)
-    total = ss.w_a + ss.w_b + ss.w_ab + ss.w_e
+    unit = ss.unit or ss
+    total = unit.w_a + unit.w_b + unit.w_ab + unit.w_e
     return {
-        m: score(p * q * r, s1, sum(getattr(ss, c) for c in residual), total, m)
+        m: score(p * q * r, s1, sum(getattr(unit, c) for c in residual), total, m)
         for m, (s1, residual) in _two_way_fits(p, q).items()
     }
 

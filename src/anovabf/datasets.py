@@ -2,8 +2,14 @@
 
 Observations are held as dense arrays indexed by factor level (and
 replicate), so downstream sums of squares are plain axis reductions.
-Both layouts are read by one pass over the CSV rows, which groups values
-by their row's labels; level labels are arbitrary strings, and internal
+Both layouts are read column by column: text with no quote, CR or NUL,
+a matching header and exactly ``width - 1`` commas on every line is cut
+into blocks of about 1 MiB, each block is split once, and each column is
+a stride of its fields. Any other text (quoting, CRLF, blank lines, a
+bad field count or value) is read row by row by ``csv.reader``, whose
+errors name the line. Both passes code labels the same way and share one
+balance check, so both give the same levels and array. Level labels are
+arbitrary strings, stripped of surrounding whitespace, and internal
 indices follow first appearance in the input, which is harmless because
 every statistic computed from these datasets is label-invariant. Both
 dataset classes are checked by one validator.
@@ -14,10 +20,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import Counter, defaultdict
-from collections.abc import Iterable
+from array import array
+from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import product
+from itertools import repeat
 
 import numpy as np
 
@@ -25,6 +32,12 @@ from .errors import BalanceError, DegenerateDesignError, DomainError, ParseError
 
 ONE_WAY_HEADER = ("level", "value")
 TWO_WAY_HEADER = ("a", "b", "value")
+
+# Characters of CSV text coded per step of the columnar pass, and rows per
+# step of the row-by-row pass; a step's intermediate lists take a few times
+# this text in memory.
+_BLOCK_CHARS = 1 << 20
+_BLOCK_ROWS = 1 << 15
 
 
 def _freeze(dataset, label_fields: tuple[str, ...]) -> None:
@@ -110,49 +123,151 @@ def write_csv(header: Iterable[str], rows: Iterable[Iterable]) -> str:
     return out.getvalue()
 
 
+class _Columns:
+    """Rows coded column by column: label codes per factor and the values.
+
+    Each factor's levels are its stripped labels in first-appearance order;
+    a label's code is its level's position.
+    """
+
+    def __init__(self, factors: int):
+        self.levels: list[dict[str, int]] = [{} for _ in range(factors)]
+        self._written: list[dict[str, int]] = [{} for _ in range(factors)]
+        self.codes = [array("q") for _ in range(factors)]
+        self.values = array("d")
+
+    def add(self, labels: list[Sequence[str]], values: Iterable) -> None:
+        """Append rows given as one label column per factor and a value column.
+
+        Raises ValueError if a value is not a number.
+        """
+        self.values.extend(map(float, values))
+        for level, written, codes, column in zip(self.levels, self._written, self.codes, labels):
+            for label in dict.fromkeys(column):
+                if label not in written:
+                    written[label] = level.setdefault(label.strip(), len(level))
+            codes.extend(map(written.__getitem__, column))
+
+    def balanced(self) -> tuple[list, np.ndarray]:
+        """Each factor's levels and the dense ``(levels..., replicates)`` array."""
+        n = len(self.values)
+        if not n:
+            raise ParseError("no data rows")
+        levels = [tuple(level) for level in self.levels]
+        sizes = tuple(map(len, levels))
+        cells = math.prod(sizes)
+        cell = np.ravel_multi_index([np.frombuffer(c, dtype=np.int64) for c in self.codes], sizes)
+        # more cells than rows cannot balance, and would make bincount's output huge
+        counts = np.bincount(cell, minlength=cells) if cells <= n else None
+        if counts is None or counts.min() != counts.max():
+            raise _balance_error(levels, sizes, cell)
+        values = np.frombuffer(self.values)[np.argsort(cell, kind="stable")]
+        return levels, values.reshape(*sizes, n // cells)
+
+
+def _balance_error(levels: list[tuple[str, ...]], sizes: tuple[int, ...], cell) -> BalanceError:
+    """Name the first cells, in the order of the levels' cross, off the common count."""
+    present, first, counts = np.unique(cell, return_index=True, return_counts=True)
+    # the most frequent count, a tie going to the count of the cell that appears first
+    r = Counter(counts[np.argsort(first)].tolist()).most_common(1)[0][0]
+    off = counts != r
+    grid = math.prod(sizes)
+    bad = grid - len(present) + int(np.count_nonzero(off))
+    head = np.arange(min(grid, len(present) + 5))
+    missing = np.setdiff1d(head, present, assume_unique=True)[:5].tolist()
+    short = zip(present[off][:5].tolist(), counts[off][:5].tolist())
+    shown = [
+        f"{','.join(map(tuple.__getitem__, levels, np.unravel_index(index, sizes)))!r} has {count}"
+        for index, count in sorted([*((index, 0) for index in missing), *short])[:5]
+    ]
+    return BalanceError(
+        f"unbalanced design: {bad} of {grid} cells lack the common "
+        f"replicate count {r}: {', '.join(shown)}{', ...' if bad > 5 else ''}"
+    )
+
+
+def _read_blocks(text: str, header: tuple[str, ...]) -> _Columns | None:
+    """Columnar pass over text that needs no CSV quoting rules.
+
+    Takes about ``_BLOCK_CHARS`` of text at a time, cut at a newline:
+    splits the block once and takes each column as a stride of the
+    fields. Returns None, leaving the text to the row-by-row pass, on a
+    quote, CR or NUL, a header that does not match, a line without
+    exactly ``width - 1`` commas, a line longer than the csv field size
+    limit, or a value that is not a finite number.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    width = len(header)
+    start = text.find("\n") + 1 or len(text)
+    if tuple(h.strip().lower() for h in text[:start].rstrip("\n").split(",")) != header:
+        return None
+    stop = len(text) - text.endswith("\n")
+    commas, limit = {width - 1}, csv.field_size_limit()
+    columns = _Columns(width - 1)
+    while start < stop:
+        end = text.find("\n", min(start + _BLOCK_CHARS, stop), stop)
+        end = stop if end < 0 else end
+        block = text[start:end]
+        lines = block.split("\n")
+        if set(map(str.count, lines, repeat(","))) != commas or max(map(len, lines)) > limit:
+            return None
+        fields = block.replace("\n", ",").split(",")
+        try:
+            columns.add([fields[i::width] for i in range(width - 1)], fields[width - 1 :: width])
+        except ValueError:
+            return None
+        start = end + 1
+    return columns if np.isfinite(columns.values).all() else None
+
+
+def _read_rows(text: str, header: tuple[str, ...]) -> _Columns:
+    """Line-by-line ``csv.reader`` pass over any text; errors name the line."""
+    reader = csv.reader(io.StringIO(text))
+    width, isfinite = len(header), math.isfinite
+    columns = _Columns(width - 1)
+    labels: list[list[str]] = [[] for _ in range(width - 1)]
+    values: list[float] = []
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise ParseError("empty input")
+        if tuple(h.strip().lower() for h in first) != header:
+            raise ParseError(f"expected header {','.join(header)!r}, got {','.join(first)!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != width:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                raise ParseError(f"line {lineno}: expected {width} fields, got {len(row)}")
+            try:
+                value = float(row[-1])
+            except ValueError:
+                value = math.nan
+            if not isfinite(value):
+                raise ParseError(f"line {lineno}: expected a finite number, got {row[-1].strip()!r}")
+            values.append(value)
+            for column, label in zip(labels, row):
+                column.append(label)
+            if len(values) == _BLOCK_ROWS:
+                columns.add(labels, values)
+                labels, values = [[] for _ in range(width - 1)], []
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+    columns.add(labels, values)
+    return columns
+
+
 def _parse_balanced(text: str, header: tuple[str, ...]) -> tuple[list, np.ndarray]:
     """Read label columns then a value column into a dense balanced array.
 
     Returns each factor's levels in first-appearance order and the
     ``(levels per factor..., replicates)`` array, with each cell's values
     in row order. Every cell of the full cross of observed levels must
-    carry the same number of replicates.
+    carry the same number of replicates. Plain text takes the columnar
+    pass; anything it does not accept is read again row by row, which
+    gives the same result or names the line at fault.
     """
-    reader = csv.reader(io.StringIO(text))
-    first = next(reader, None)
-    if first is None:
-        raise ParseError("empty input")
-    if tuple(h.strip().lower() for h in first) != header:
-        raise ParseError(f"expected header {','.join(header)!r}, got {','.join(first)!r}")
-    width, strip, isfinite = len(header), str.strip, math.isfinite
-    cells: defaultdict[tuple[str, ...], list[float]] = defaultdict(list)
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != width:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            raise ParseError(f"line {lineno}: expected {width} fields, got {len(row)}")
-        try:
-            value = float(row[-1])
-        except ValueError:
-            value = math.nan
-        if not isfinite(value):
-            raise ParseError(f"line {lineno}: expected a finite number, got {row[-1].strip()!r}")
-        cells[tuple(map(strip, row[:-1]))].append(value)
-    if not cells:
-        raise ParseError("no data rows")
-
-    levels = [tuple(dict.fromkeys(key[i] for key in cells)) for i in range(width - 1)]
-    grid = list(product(*levels))
-    r = Counter(map(len, cells.values())).most_common(1)[0][0]
-    bad = [key for key in grid if len(cells.get(key, ())) != r]
-    if bad:
-        shown = [f"{','.join(key)!r} has {len(cells.get(key, ()))}" for key in bad[:5]]
-        raise BalanceError(
-            f"unbalanced design: {len(bad)} of {len(grid)} cells lack the common "
-            f"replicate count {r}: {', '.join(shown)}{', ...' if len(bad) > 5 else ''}"
-        )
-    values = np.array([cells[key] for key in grid], dtype=float)
-    return levels, values.reshape(*map(len, levels), r)
+    return (_read_blocks(text, header) or _read_rows(text, header)).balanced()
 
 
 def parse_one_way(text: str) -> OneWayDataset:

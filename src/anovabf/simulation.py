@@ -253,11 +253,12 @@ def _alternative_hits(cfg: SimulationConfig, p: int, r: int) -> dict[Criterion, 
     where = f"at (p={p}, r={r}, seed={cfg.seed})"
     for start in range(0, cfg.replications, chunk):
         reps = range(start, min(start + chunk, cfg.replications))
-        # effects or data beyond the range of a double show up as sums of
-        # squares that are not finite
+        # effects or draws beyond the range of a double make data that is not
+        # finite, which shows up as sums of squares that are not finite; the
+        # shares are taken at unit scale, so finite data of any scale is fine
         with np.errstate(over="ignore", invalid="ignore"):
             values = draw_one_way(cfg.seed, p, r, cfg.truth, reps, out=buffer[: len(reps)])
-            ss = one_way_ss(values)
+            ss = one_way_ss(values).unit
         overflow = np.flatnonzero(~np.isfinite(ss.w_t))
         if overflow.size:
             raise DomainError(

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from anovabf.cli import run
+from anovabf.datasets import ONE_WAY_HEADER, TWO_WAY_HEADER, write_csv
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -95,6 +97,12 @@ class TestRuntimeErrors:
         assert "byte offset 18" in err
         assert "Traceback" not in err
 
+    def test_field_over_csv_limit(self, tmp_path, capsys):
+        path = write(tmp_path, "long.csv", "level,value\na,1\n" + "b" * 131073 + ",2\n")
+        assert run(["bf", "one-way", "--input", path]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: line 3: field larger than field limit (131072)\n"
+
     @pytest.mark.parametrize(
         "grid",
         [
@@ -173,6 +181,41 @@ class TestBayesFactorCommand:
         manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
         assert manifest["subcommand"] == "bf one-way"
         assert "timestamp" in manifest and "version" in manifest
+
+
+class TestDataScale:
+    """``bf`` gives the unit-scale log factors at any data scale; sums of
+    squares beyond the range of a double render as "inf"."""
+
+    rng = np.random.default_rng(31)
+    values = rng.normal(scale=0.3, size=(6, 4, 1)) + rng.normal(size=(6, 4, 5))
+
+    def bf(self, tmp_path, capsys, layout, scale):
+        # one-way: level i of the first axis; two-way: cell (i, j)
+        header, factors = (ONE_WAY_HEADER, 1) if layout == "one-way" else (TWO_WAY_HEADER, 2)
+        rows = [
+            (*(f"{name}{i}" for name, i in zip("ab", index[:factors])), repr(float(v)))
+            for index, v in np.ndenumerate(self.values * scale)
+        ]
+        path = write(tmp_path, f"{layout}-{scale}.csv", write_csv(header, rows))
+        return run_json(capsys, ["bf", layout, "--input", path, "--json"])
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+    @pytest.mark.parametrize("layout", ["one-way", "two-way"])
+    def test_log_factors_and_sums(self, layout, scale, tmp_path, capsys):
+        base = self.bf(tmp_path, capsys, layout, 1.0)
+        doc = self.bf(tmp_path, capsys, layout, scale)
+        reports = [(doc["report"], base["report"])] if layout == "one-way" else [
+            (doc["reports"][m], report) for m, report in base["reports"].items()
+        ]
+        for got, want in reports:
+            for key in ("log_bf_fb", "log_bf_bic", "ss_ratio"):
+                assert got[key] == pytest.approx(want[key], rel=1e-9, abs=1e-9)
+        sums = doc["sums_of_squares"].values()
+        if scale > 1:
+            assert set(sums) == {"inf"}
+        else:
+            assert all(0.0 <= w < 1e-300 for w in sums)
 
 
 class TestOracleCommand:

@@ -3,6 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from anovabf import datasets
 from anovabf.datasets import (
     ONE_WAY_HEADER,
     TWO_WAY_HEADER,
@@ -12,7 +13,13 @@ from anovabf.datasets import (
     parse_two_way,
     write_csv,
 )
-from anovabf.errors import BalanceError, DegenerateDesignError, DomainError, ParseError
+from anovabf.errors import (
+    AnovaBFError,
+    BalanceError,
+    DegenerateDesignError,
+    DomainError,
+    ParseError,
+)
 
 ONE_WAY_SMALL = "level,value\na,1\na,1\nb,2\nb,2"
 
@@ -214,6 +221,134 @@ class TestParseTwoWay(ParseCases):
         np.testing.assert_array_equal(d2.values, d.values)
         assert d2.a_levels == d.a_levels
         assert d2.b_levels == d.b_levels
+
+
+def crlf(text):
+    return text.replace("\n", "\r\n")
+
+
+def quote_all(text):
+    """Every field of every non-empty line in double quotes, as csv.QUOTE_ALL writes it."""
+    return "\n".join(
+        ",".join(f'"{field}"' for field in line.split(",")) if line else line
+        for line in text.split("\n")
+    )
+
+
+def outcome(parse, text):
+    """Levels and array bytes of a parse, or the type and text of its error."""
+    try:
+        d = parse(text)
+    except AnovaBFError as exc:
+        return type(exc).__name__, str(exc)
+    levels = (d.levels,) if isinstance(d, OneWayDataset) else (d.a_levels, d.b_levels)
+    return levels, d.values.tobytes()
+
+
+def two_way_text(rows):
+    return "a,b,value\n" + "".join(f"{row}\n" for row in rows)
+
+
+# 3x2 cells, r = 2, rows interleaved across cells
+CELL_ROWS = [
+    "a2,b1,0.5", "a1,b2,-1.25", "a3,b1,2.0", "a1,b1,3.5", "a2,b2,0.125", "a3,b2,7.0",
+    "a1,b1,1.5", "a3,b2,-2.0", "a2,b1,9.75", "a1,b2,4.0", "a3,b1,0.0625", "a2,b2,-3.5",
+]
+PADDED_ROWS = [f" {a} ,{b}  ,{v}" for a, b, v in (row.split(",") for row in CELL_ROWS)]
+SEPARATOR_ROWS = [f"{a}\u2028x,{b},{v}" for a, b, v in (row.split(",") for row in CELL_ROWS)]
+
+# text the columnar pass reads itself
+REGULAR = {
+    "interleaved": two_way_text(CELL_ROWS),
+    "no-trailing-newline": two_way_text(CELL_ROWS).rstrip("\n"),
+    "padded-labels": two_way_text(PADDED_ROWS),
+    "line-separator-in-label": two_way_text(SEPARATOR_ROWS),
+    "short-cell": two_way_text(CELL_ROWS[:-1]),
+    # counts 2 and 3 tie as the most common; 3 belongs to the cell that appears first
+    "tied-counts": two_way_text(
+        f"{cell},{i}"
+        for i, cell in enumerate(
+            ["a1,b1", "a2,b2", "a1,b3", "a1,b2", "a2,b1", "a2,b3"]
+            + ["a1,b1"] * 3 + ["a2,b2"] * 2 + ["a1,b3", "a1,b2"] + ["a2,b1"] * 2 + ["a2,b3"] * 4
+        )
+    ),
+    "header-only": "a,b,value\n",
+}
+# text that it leaves to the row reader
+IRREGULAR = {
+    "blank-lines": two_way_text(CELL_ROWS[:4] + [""] + CELL_ROWS[4:8] + ["   "] + CELL_ROWS[8:]),
+    # the stray field makes the next line a valid row when fields are counted per block
+    "extra-and-missing-comma": two_way_text(
+        CELL_ROWS[:2] + ["a3,b1,2.0,a1", "b1,3.5"] + CELL_ROWS[4:]
+    ),
+    "bad-value": two_way_text(CELL_ROWS[:5] + ["a2,b2,oops"] + CELL_ROWS[6:]),
+    "non-finite-value": two_way_text(CELL_ROWS[:5] + ["a2,b2,nan"] + CELL_ROWS[6:]),
+    "nul-in-label": two_way_text(["a2\0,b1,0.5", *CELL_ROWS[1:]]),
+    "field-over-limit": two_way_text(CELL_ROWS[:3] + ["a" * 131073 + ",b1,3.5"] + CELL_ROWS[4:]),
+}
+
+
+class TestColumnarAgreesWithRowReader:
+    """The same content through the columnar pass and through ``csv.reader``.
+
+    CRLF line ends and quoted fields each send text to the row reader.
+    """
+
+    @pytest.fixture(params=[1, 7, 12, 1 << 20], ids=lambda size: f"block-{size}")
+    def block(self, request, monkeypatch):
+        # small blocks cut the text inside and at the edges of rows, and code
+        # the row reader's rows a few at a time
+        monkeypatch.setattr(datasets, "_BLOCK_CHARS", request.param)
+        monkeypatch.setattr(datasets, "_BLOCK_ROWS", request.param)
+
+    @pytest.mark.parametrize("case", sorted(REGULAR.keys() | IRREGULAR.keys()))
+    @pytest.mark.parametrize("forced", [crlf, quote_all], ids=["crlf", "quote-all"])
+    def test_same_levels_array_and_errors(self, case, forced, block):
+        text = {**REGULAR, **IRREGULAR}[case]
+        assert outcome(parse_two_way, text) == outcome(parse_two_way, forced(text))
+
+    @pytest.mark.parametrize("case", sorted(REGULAR))
+    def test_plain_text_stays_columnar(self, case, block, monkeypatch):
+        def refuse(text, header):
+            raise AssertionError("fell back to the row reader")
+
+        monkeypatch.setattr(datasets, "_read_rows", refuse)
+        outcome(parse_two_way, REGULAR[case])
+
+    def test_one_way_layout(self, block):
+        text = "level,value\n" + "".join(f" L{i % 3} ,{i * 0.75}\n" for i in range(12))
+        assert outcome(parse_one_way, text) == outcome(parse_one_way, crlf(text))
+        assert parse_one_way(text).levels == ("L0", "L1", "L2")
+
+    def test_expected_results(self):
+        first = outcome(parse_two_way, REGULAR["interleaved"])
+        assert first[0] == (("a2", "a1", "a3"), ("b1", "b2"))
+        for case in ("no-trailing-newline", "padded-labels", "blank-lines"):
+            assert outcome(parse_two_way, {**REGULAR, **IRREGULAR}[case]) == first
+        levels, _ = outcome(parse_two_way, REGULAR["line-separator-in-label"])
+        assert levels[0] == ("a2\u2028x", "a1\u2028x", "a3\u2028x")
+        assert outcome(parse_two_way, IRREGULAR["extra-and-missing-comma"]) == (
+            "ParseError",
+            "line 4: expected 3 fields, got 4",
+        )
+        assert outcome(parse_two_way, IRREGULAR["bad-value"]) == (
+            "ParseError",
+            "line 7: expected a finite number, got 'oops'",
+        )
+        assert outcome(parse_two_way, IRREGULAR["field-over-limit"]) == (
+            "ParseError",
+            "line 5: field larger than field limit (131072)",
+        )
+        assert outcome(parse_two_way, REGULAR["short-cell"]) == (
+            "BalanceError",
+            "unbalanced design: 1 of 6 cells lack the common replicate count 2: 'a2,b2' has 1",
+        )
+        assert outcome(parse_two_way, REGULAR["tied-counts"]) == (
+            "BalanceError",
+            "unbalanced design: 4 of 6 cells lack the common replicate count 3: "
+            "'a1,b1' has 4, 'a1,b2' has 2, 'a1,b3' has 2, 'a2,b3' has 5",
+        )
+        assert outcome(parse_two_way, REGULAR["header-only"]) == ("ParseError", "no data rows")
 
 
 class TestDatasetInvariants:

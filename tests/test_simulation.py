@@ -357,6 +357,16 @@ class TestFrequencyExperiment:
         table = run_frequency_experiment(self.small_cfg(truth=truth))
         assert set(table.frequencies.values()) == {frequency}
 
+    def test_noise_beyond_double_range_of_squares(self):
+        # a power-of-two variance scales the draws exactly, and their squares
+        # overflow; the unit-scale shares pick the same models
+        cells = dict(p_list=(10,), r_list=(2, 4), truth=TruthSpec(model=Model.NULL))
+        base = run_frequency_experiment(self.small_cfg(**cells))
+        loud = run_frequency_experiment(
+            self.small_cfg(**cells | dict(truth=TruthSpec(model=Model.NULL, sigma2=2.0**1020)))
+        )
+        assert loud.frequencies == base.frequencies
+
     def test_overflowing_effect_names_replication(self):
         truth = TruthSpec(model=Model.FACTOR_A, c_a=1e300, sigma2=1e10)
         with pytest.raises(DomainError, match=r"replication 0 at \(p=2, r=2, seed=11\).*not finite"):

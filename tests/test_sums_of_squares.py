@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from anovabf.bayes_factors import Model, one_way_report, score, two_way_reports
 from anovabf.datasets import OneWayDataset, TwoWayDataset
 from anovabf.sums_of_squares import one_way_ss, two_way_ss
 
@@ -145,3 +148,76 @@ def test_one_way_batch_equals_each_dataset(shape):
         single = one_way_ss(OneWayDataset(values=batch[i]))
         assert (ss.w_e[i], ss.w_h[i], ss.w_t[i]) == (single.w_e, single.w_h, single.w_t)
     assert one_way_ss(batch[0]) == one_way_ss(OneWayDataset(values=batch[0]))
+
+
+SCALES = [1e-200, 1e-160, 1e160, 1e200]
+
+
+def unscaled_one_way(y):
+    """The decomposition taken on the data as given, with no rescaling."""
+    r = y.shape[-1]
+    level_means = y.mean(axis=-1)
+    grand_mean = level_means.mean(axis=-1)
+    w_e = np.sum((y - level_means[..., None]) ** 2, axis=(-2, -1))
+    w_h = r * np.sum((level_means - grand_mean[..., None]) ** 2, axis=-1)
+    return w_e + w_h, w_e, w_h
+
+
+class TestDataScale:
+    """Shares of the total, and so the Bayes factors, hold at any data scale."""
+
+    rng = np.random.default_rng(21)
+    y = rng.normal(scale=0.2, size=(50, 1)) + rng.normal(size=(50, 20))
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-3, 1.0, 7.25, 3e4, 1e100])
+    def test_in_range_sums_bit_for_bit(self, scale):
+        # at 1e-100 and 1e100 the totals leave 2**-600 .. 2**600 and the data is
+        # rescaled, which is exact: the sums do not move
+        rng = np.random.default_rng(23)
+        for shape in [(2, 2), (7, 4), (20, 10)]:
+            y = rng.normal(loc=3.0, size=shape) * scale
+            ss = one_way_ss(OneWayDataset(values=y))
+            assert (ss.w_t, ss.w_e, ss.w_h) == tuple(map(float, unscaled_one_way(y)))
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_one_way(self, scale):
+        base = one_way_report(one_way_ss(OneWayDataset(values=self.y)), 50, 20)
+        ss = one_way_ss(OneWayDataset(values=self.y * scale))
+        report = one_way_report(ss, 50, 20)
+        assert report.log_bf_fb == pytest.approx(base.log_bf_fb, rel=1e-9, abs=1e-9)
+        assert report.log_bf_bic == pytest.approx(base.log_bf_bic, rel=1e-9, abs=1e-9)
+        if scale > 1:
+            assert ss.w_t == ss.w_e == ss.w_h == math.inf
+        else:
+            assert 0.0 <= ss.w_t < 1e-300
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_two_way(self, scale):
+        y = self.y.reshape(10, 5, 20)
+        base = two_way_reports(two_way_ss(TwoWayDataset(values=y)), 10, 5, 20)
+        scaled = two_way_reports(two_way_ss(TwoWayDataset(values=y * scale)), 10, 5, 20)
+        for model, report in base.items():
+            assert scaled[model].log_bf_fb == pytest.approx(report.log_bf_fb, rel=1e-9, abs=1e-9)
+            assert scaled[model].log_bf_bic == pytest.approx(report.log_bf_bic, rel=1e-9, abs=1e-9)
+
+    def test_batch(self):
+        batch = np.stack([self.y * scale for scale in [1.0, *SCALES]])
+        ss = one_way_ss(batch)
+        unit = ss.unit
+        log_bf = [
+            score(1000, 50, e, t, Model.FACTOR_A).log_bf_fb
+            for e, t in zip(unit.w_e.tolist(), unit.w_t.tolist())
+        ]
+        assert log_bf == pytest.approx([log_bf[0]] * len(log_bf), rel=1e-9, abs=1e-9)
+        assert ss.w_t[0] == float(unscaled_one_way(self.y)[0])
+        assert np.isinf(ss.w_t[3:]).all()
+        for i in range(len(batch)):
+            single = one_way_ss(batch[i])
+            assert (ss.w_t[i], ss.unit.w_t[i]) == (single.w_t, single.unit.w_t)
+
+    def test_non_finite_data_gives_non_finite_sums(self):
+        y = self.y.copy()
+        y[3, 4] = np.inf
+        with np.errstate(invalid="ignore"):
+            ss = one_way_ss(y)
+        assert not np.isfinite(ss.unit.w_t)
