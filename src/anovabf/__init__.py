@@ -10,6 +10,7 @@ from .bayes_factors import (
     Model,
     choose_model,
     log_bf_fb_one_way,
+    log_bfs,
     one_way_report,
     posterior_prob,
     rank_two_way_models,
@@ -42,7 +43,6 @@ from .prior import (
     BetaPrimePrior,
     beta_prime_log_density,
     bf_quadrature,
-    log_bf_integrand,
     log_bf_quadrature,
 )
 from .simulation import (
@@ -89,7 +89,7 @@ __all__ = [
     "limit_we_wt",
     "log_beta",
     "log_bf_fb_one_way",
-    "log_bf_integrand",
+    "log_bfs",
     "log_bf_quadrature",
     "log_gamma",
     "make_alpha",

@@ -16,11 +16,13 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateDataError, DomainError
-from .numerics import log_gamma
 from .sums_of_squares import OneWaySS, TwoWaySS
 
 INF = float("inf")
+_LOG_GAMMA_HALF = math.lgamma(0.5)
 
 
 class Model(str, enum.Enum):
@@ -58,8 +60,10 @@ def _check_design(p: int, r: int) -> None:
 
 
 def _log_share(ratio: float) -> float:
-    """Log of a residual share in [0, 1]; a share of 0 gives -inf."""
-    return -INF if ratio == 0.0 else math.log(ratio)
+    """Log of a residual share clamped into [0, 1]; a share of 0 gives -inf."""
+    if ratio <= 0.0:
+        return -INF
+    return 0.0 if ratio >= 1.0 else math.log(ratio)
 
 
 def _log_bf_fb_kernel(n: int, s1: int, log_ratio):
@@ -70,10 +74,10 @@ def _log_bf_fb_kernel(n: int, s1: int, log_ratio):
     of 0 (perfect fit under a nonzero total) gives +inf.
     """
     constant = (
-        log_gamma(s1 / 2.0)
-        + log_gamma((n - s1) / 2.0)
-        - log_gamma(0.5)
-        - log_gamma((n - 1) / 2.0)
+        math.lgamma(s1 / 2.0)
+        + math.lgamma((n - s1) / 2.0)
+        - _LOG_GAMMA_HALF
+        - math.lgamma((n - 1) / 2.0)
     )
     return constant - ((n - s1 - 1) / 2.0) * log_ratio
 
@@ -81,6 +85,24 @@ def _log_bf_fb_kernel(n: int, s1: int, log_ratio):
 def _log_bf_bic_kernel(n: int, s1: int, log_ratio):
     """log BIC-based Bayes factor for an alternative with s1 mean parameters."""
     return -(n / 2.0) * log_ratio - ((s1 - 1) / 2.0) * math.log(n)
+
+
+def log_bfs(n: int, s1: int, ratio):
+    """log fully-Bayes and BIC factors of an alternative with s1 mean
+    parameters among n observations, against the common mean.
+
+    ``ratio`` is the alternative's residual share of the total sum of
+    squares: a float, or an array of shares scored element by element.
+    Shares are clamped into [0, 1], and each is logged with ``math.log``,
+    so a batch gives its elements' factors bit for bit.
+    """
+    if not 0 < s1 < n:
+        raise DomainError(f"need 0 < s1 < n, got n={n}, s1={s1}")
+    if isinstance(ratio, np.ndarray):
+        log_ratio = np.array([_log_share(x) for x in ratio.tolist()])
+    else:
+        log_ratio = _log_share(ratio)
+    return _log_bf_fb_kernel(n, s1, log_ratio), _log_bf_bic_kernel(n, s1, log_ratio)
 
 
 def posterior_prob(log_bf: float) -> float:
@@ -118,9 +140,7 @@ def score(n: int, s1: int, residual: float, total: float, alternative: Model) ->
     if total == 0.0:
         raise DegenerateDataError("total sum of squares is zero")
     ratio = min(max(residual / total, 0.0), 1.0)
-    log_ratio = _log_share(ratio)
-    log_fb = _log_bf_fb_kernel(n, s1, log_ratio)
-    log_bic = _log_bf_bic_kernel(n, s1, log_ratio)
+    log_fb, log_bic = log_bfs(n, s1, ratio)
     return BayesFactorReport(
         log_bf_fb=log_fb,
         log_bf_bic=log_bic,

@@ -22,7 +22,7 @@ from .bayes_factors import (
     BayesFactorReport,
     Criterion,
     Model,
-    log_bf_fb_one_way,
+    log_bfs,
     one_way_report,
     rank_two_way_models,
     two_way_reports,
@@ -37,7 +37,7 @@ from .simulation import (
     TruthSpec,
     run_frequency_experiment,
 )
-from .sums_of_squares import OneWaySS, one_way_ss, two_way_ss
+from .sums_of_squares import one_way_ss, two_way_ss
 
 ORACLE_TOLERANCE = 1e-8
 
@@ -96,7 +96,7 @@ def _json_payload(doc: dict) -> str:
     return json.dumps(_jsonify(doc), indent=2) + "\n"
 
 
-def _cmd_bf(args: argparse.Namespace) -> int:
+def _cmd_bf(args: argparse.Namespace) -> tuple[str, str, dict, None]:
     try:
         text = Path(args.input).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -105,46 +105,27 @@ def _cmd_bf(args: argparse.Namespace) -> int:
         dataset = parse_one_way(text)
         ss = one_way_ss(dataset)
         reports = {Model.FACTOR_A: one_way_report(ss, dataset.p, dataset.r)}
-        doc = {
-            "design": "one-way",
-            "p": dataset.p,
-            "r": dataset.r,
-            "n": dataset.n,
-            "sums_of_squares": {"w_t": ss.w_t, "w_e": ss.w_e, "w_h": ss.w_h},
-            "report": reports[Model.FACTOR_A],
-        }
+        design = {"p": dataset.p, "r": dataset.r}
+        results = {"report": reports[Model.FACTOR_A]}
     else:
         dataset = parse_two_way(text)
         ss = two_way_ss(dataset)
         reports = two_way_reports(ss, dataset.p, dataset.q, dataset.r)
-        doc = {
-            "design": "two-way",
-            "p": dataset.p,
-            "q": dataset.q,
-            "r": dataset.r,
-            "n": dataset.n,
-            "sums_of_squares": {
-                "w_t": ss.w_t,
-                "w_a": ss.w_a,
-                "w_b": ss.w_b,
-                "w_ab": ss.w_ab,
-                "w_e": ss.w_e,
-            },
-            "reports": reports,
-            "ranking_fb": rank_two_way_models(reports, dataset.p, dataset.q),
-        }
+        design = {"p": dataset.p, "q": dataset.q, "r": dataset.r}
+        ranking = rank_two_way_models(reports, dataset.p, dataset.q)
+        results = {"reports": reports, "ranking_fb": ranking}
+    sums = {f.name: getattr(ss, f.name) for f in dataclasses.fields(ss) if f.name != "unit"}
+    doc = {"design": args.layout, **design, "n": dataset.n, "sums_of_squares": sums, **results}
     if args.format == "csv":
         header = ["model", *(f.name for f in dataclasses.fields(BayesFactorReport))]
         rows = [_jsonify([m, *dataclasses.astuple(rep)]) for m, rep in reports.items()]
         payload = write_csv(header, rows)
     else:
         payload = _json_payload(doc)
-    manifest = _manifest(f"bf {args.layout}", {"input": args.input, "format": args.format}, None)
-    _emit(payload, args.out, manifest)
-    return 0
+    return payload, f"bf {args.layout}", {"input": args.input, "format": args.format}, None
 
 
-def _cmd_oracle_check(args: argparse.Namespace) -> int:
+def _cmd_oracle_check(args: argparse.Namespace) -> tuple[str, str, dict, None]:
     n = args.p * args.r
     closure = BetaPrimePrior.for_closed_form(n, args.p)
     a = closure.a if args.a is None else args.a
@@ -154,9 +135,9 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         prior = BetaPrimePrior(a=a, b=args.b)
     on_closure = prior.a == closure.a and abs(prior.b - closure.b) < 1e-12
 
-    ss = OneWaySS(w_t=1.0, w_e=args.ratio, w_h=1.0 - args.ratio)
-    log_closed = log_bf_fb_one_way(ss, args.p, args.r)
+    # the quadrature checks the design and the ratio, so it runs first
     log_quad = log_bf_quadrature(n, args.p, args.ratio, prior)
+    log_closed, _ = log_bfs(n, args.p, args.ratio)
     if on_closure:
         relative_difference = abs(math.expm1(log_quad - log_closed))
         within = relative_difference <= ORACLE_TOLERANCE
@@ -177,11 +158,10 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         "within_tolerance": within,
     }
     params = {"p": args.p, "r": args.r, "ratio": args.ratio, "a": prior.a, "b": prior.b}
-    _emit(_json_payload(doc), args.out, _manifest("oracle check", params, None))
-    return 0
+    return _json_payload(doc), "oracle check", params, None
 
 
-def _cmd_consistency(args: argparse.Namespace) -> int:
+def _cmd_consistency(args: argparse.Namespace) -> tuple[str, str, dict, None]:
     if args.diagnostic == "h":
         doc = {"r": args.r, "h": h_threshold(args.r)}
         params = {"r": args.r}
@@ -208,11 +188,12 @@ def _cmd_consistency(args: argparse.Namespace) -> int:
             "gap": predicted_mse_gap(args.p, args.r, args.effect),
         }
         params = {"p": args.p, "r": args.r, "effect": args.effect}
-    _emit(_json_payload(doc), args.out, _manifest(f"consistency {args.diagnostic}", params, None))
-    return 0
+    return _json_payload(doc), f"consistency {args.diagnostic}", params, None
 
 
-def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_simulate(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> tuple[str, str, dict, int]:
     truth_model = _TRUTH_ALIASES.get(args.truth.lower())
     if truth_model is None:
         parser.error(f"unknown truth {args.truth!r} (expected M1 or MA1)")
@@ -237,7 +218,6 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             criteria=criteria,
         )
         rows.extend(run_frequency_experiment(cfg).rows())
-    payload = write_csv(FREQUENCY_CSV_HEADER, rows)
     params = {
         "truth": truth_model,
         "p": list(args.p),
@@ -246,8 +226,7 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         "reps": args.reps,
         "criteria": [c.value for c in criteria],
     }
-    _emit(payload, args.out, _manifest("simulate", params, args.seed))
-    return 0
+    return write_csv(FREQUENCY_CSV_HEADER, rows), "simulate", params, args.seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,47 +236,59 @@ def build_parser() -> argparse.ArgumentParser:
         "quadrature oracle, consistency diagnostics, and seeded experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command writes its primary output through run
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", help="write primary output to this path")
 
     bf = sub.add_parser("bf", help="Bayes factors for a CSV dataset")
+    bf.set_defaults(handler=_cmd_bf)
     bf_sub = bf.add_subparsers(dest="layout", required=True)
     for layout in ("one-way", "two-way"):
-        bp = bf_sub.add_parser(layout, help=f"balanced {layout} layout")
+        bp = bf_sub.add_parser(layout, help=f"balanced {layout} layout", parents=[output])
         bp.add_argument("--input", required=True, help="CSV file to read")
         fmt = bp.add_mutually_exclusive_group()
         fmt.add_argument(
             "--json", dest="format", action="store_const", const="json", default="json"
         )
         fmt.add_argument("--csv", dest="format", action="store_const", const="csv")
-        bp.add_argument("--out", help="write primary output to this path")
 
     oracle = sub.add_parser("oracle", help="check closed forms against quadrature")
+    oracle.set_defaults(handler=_cmd_oracle_check)
     oracle_sub = oracle.add_subparsers(dest="check", required=True)
-    oc = oracle_sub.add_parser("check", help="compare closed-form and quadrature factors")
+    oc = oracle_sub.add_parser(
+        "check", help="compare closed-form and quadrature factors", parents=[output]
+    )
     oc.add_argument("--p", type=int, required=True, help="factor levels")
     oc.add_argument("--r", type=int, required=True, help="replications per level")
     oc.add_argument("--ratio", type=float, required=True, help="residual share w_e/w_t in (0,1]")
     oc.add_argument("--a", type=float, default=None, help="hyperprior a (default -0.5)")
     oc.add_argument("--b", type=float, default=None, help="hyperprior b (default: closed-form match)")
-    oc.add_argument("--out", help="write primary output to this path")
 
     consistency = sub.add_parser("consistency", help="closed-form consistency diagnostics")
+    consistency.set_defaults(handler=_cmd_consistency)
     cons_sub = consistency.add_subparsers(dest="diagnostic", required=True)
-    ch = cons_sub.add_parser("h", help="effect-size threshold for fixed replications")
+    ch = cons_sub.add_parser(
+        "h", help="effect-size threshold for fixed replications", parents=[output]
+    )
     ch.add_argument("--r", type=int, required=True)
-    ch.add_argument("--out", help="write primary output to this path")
-    ct = cons_sub.add_parser("two-way", help="consistency window for the saturated model")
+    ct = cons_sub.add_parser(
+        "two-way", help="consistency window for the saturated model", parents=[output]
+    )
     ct.add_argument("--r", type=int, required=True)
     ct.add_argument("--ca", type=float, default=0.0)
     ct.add_argument("--cb", type=float, default=0.0)
     ct.add_argument("--cab", type=float, default=0.0)
-    ct.add_argument("--out", help="write primary output to this path")
-    cm = cons_sub.add_parser("mse-gap", help="prediction-error gap, null minus alternative")
+    cm = cons_sub.add_parser(
+        "mse-gap", help="prediction-error gap, null minus alternative", parents=[output]
+    )
     cm.add_argument("--p", type=int, required=True)
     cm.add_argument("--r", type=int, required=True)
     cm.add_argument("--effect", type=float, required=True)
-    cm.add_argument("--out", help="write primary output to this path")
 
-    simulate = sub.add_parser("simulate", help="seeded model-selection frequency experiment")
+    simulate = sub.add_parser(
+        "simulate", help="seeded model-selection frequency experiment", parents=[output]
+    )
+    simulate.set_defaults(handler=lambda args: _cmd_simulate(args, parser))
     simulate.add_argument("--truth", required=True, help="data-generating model: M1 or MA1")
     simulate.add_argument(
         "--p", type=int, action="append", required=True, help="level count (repeatable)"
@@ -311,26 +302,17 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--reps", type=int, default=2000, help="replications per cell")
     simulate.add_argument("--seed", type=int, default=0, help="experiment seed")
     simulate.add_argument("--criteria", default="fb,bic", help="comma-separated: fb,bic")
-    simulate.add_argument("--out", help="write CSV to this path")
 
     return parser
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "bf":
-            return _cmd_bf(args)
-        if args.command == "oracle":
-            return _cmd_oracle_check(args)
-        if args.command == "consistency":
-            return _cmd_consistency(args)
-        return _cmd_simulate(args, parser)
-    except AnovaBFError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        payload, subcommand, params, seed = args.handler(args)
+        _emit(payload, args.out, _manifest(subcommand, params, seed))
+        return 0
+    except (AnovaBFError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -103,7 +103,10 @@ def two_way_consistency_window(r: int, e: EffectSizes) -> ConsistencyWindow:
         raise DomainError(f"need r >= 2, got {r}")
     lower = r ** (1.0 / (r - 1))
     signal = 1.0 + e.c_a + e.c_b + e.c_ab
-    upper = (1.0 + e.c_ab) ** r / r
+    try:
+        upper = (1.0 + e.c_ab) ** r / r
+    except OverflowError:
+        upper = math.inf
     return ConsistencyWindow(
         lower=lower,
         signal=signal,
@@ -221,6 +224,7 @@ def predicted_mse_gap(p: int, r: int, effect: float) -> float:
     outweighs the p-1 extra parameters spread over pr observations.
     """
     _check_counts(p, r)
+    require_finite("mse gap", effect=effect)
     if effect < 0:
         raise DomainError(f"effect must be nonnegative, got {effect}")
     return effect - (p - 1) / (p * r)

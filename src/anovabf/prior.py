@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, require_finite
+from .errors import ConvergenceError, DomainError, require_finite
 from .numerics import integrate, log_beta
 
 # The integration range ends where the log integrand is this far below its
@@ -75,25 +75,6 @@ def _check_bf_args(n: int, p_alt: int, ratio: float) -> None:
         raise DomainError(f"sums-of-squares ratio must be in (0, 1], got {ratio}")
 
 
-def log_bf_integrand(
-    n: int, p_alt: int, ratio: float, prior: BetaPrimePrior, g: float
-) -> float:
-    """log of the g-conditional Bayes factor times the prior density.
-
-    Integrating its exponential over g in (0, inf) gives the Bayes factor
-    of the alternative with p_alt mean parameters against the common mean;
-    ratio is the alternative's residual share of the total sum of squares.
-    """
-    _check_bf_args(n, p_alt, ratio)
-    if not g > 0:
-        raise DomainError(f"integrand defined for g > 0, got {g}")
-    return (
-        ((n - p_alt) / 2.0) * math.log1p(g)
-        - ((n - 1) / 2.0) * math.log1p(g * ratio)
-        + beta_prime_log_density(prior, g)
-    )
-
-
 def _softplus(u: float) -> float:
     """log(1 + e**u) without overflow."""
     return max(u, 0.0) + math.log1p(math.exp(-abs(u)))
@@ -145,6 +126,14 @@ def log_bf_quadrature(n: int, p_alt: int, ratio: float, prior: BetaPrimePrior) -
         lo *= 2.0
     while slope(hi) >= 0.0:
         hi *= 2.0
+    if math.isinf(lo) or math.isinf(hi):
+        # past about b = 1e16 the slope's negative limit alpha - beta + k
+        # rounds to 0, and the doubling runs to infinity
+        raise ConvergenceError(
+            "cannot bracket the integrand's mode under the beta-prime prior "
+            f"a={prior.a}, b={prior.b}",
+            estimate=math.nan,
+        )
     m = brentq(slope, lo, hi)
     peak = alpha * _softplus(m) - beta * _softplus(m + log_ratio) + k * m
     step_a, step_b = _softplus_step(m), _softplus_step(m + log_ratio)

@@ -23,7 +23,8 @@ keeps stable across releases; the keys must equal SeedSequence's bit
 for bit, or every frequency table changes. The draws then run through
 one Philox whose key is set, and counter zeroed, per replication into a
 buffer of about ``_CHUNK_VALUES`` values, and the sums of squares and
-both kernels are evaluated over the whole chunk at once.
+:func:`~anovabf.bayes_factors.log_bfs` are evaluated over the whole
+chunk at once.
 """
 
 from __future__ import annotations
@@ -34,13 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bayes_factors import (
-    Criterion,
-    Model,
-    _log_bf_bic_kernel,
-    _log_bf_fb_kernel,
-    _log_share,
-)
+from .bayes_factors import Criterion, Model, log_bfs
 from .datasets import write_csv
 from .errors import DegenerateDataError, DomainError, require_finite
 from .sums_of_squares import one_way_ss
@@ -49,8 +44,6 @@ FREQUENCY_CSV_HEADER = ("criterion", "truth", "c_a", "p", "r", "frequency", "rep
 
 # values drawn per chunk (at least one replication's worth)
 _CHUNK_VALUES = 1 << 16
-
-_KERNELS = {Criterion.FB: _log_bf_fb_kernel, Criterion.BIC: _log_bf_bic_kernel}
 
 # SeedSequence's mixing constants (numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
@@ -105,7 +98,7 @@ class SimulationConfig:
         if not self.criteria:
             raise DomainError("at least one criterion required")
         for name in ("p_list", "r_list", "criteria"):
-            values = getattr(self, name)
+            values = tuple(getattr(v, "value", v) for v in getattr(self, name))
             if len(set(values)) != len(values):
                 raise DomainError(f"{name} has duplicate entries: {values}")
 
@@ -248,7 +241,12 @@ def draw_one_way(
 def _alternative_hits(cfg: SimulationConfig, p: int, r: int) -> dict[Criterion, int]:
     """Per criterion, how many replications of cell (p, r) favor the alternative."""
     chunk = max(1, _CHUNK_VALUES // (p * r))
-    buffer = np.empty((min(chunk, cfg.replications), p, r))
+    try:
+        buffer = np.empty((min(chunk, cfg.replications), p, r))
+    except (ValueError, MemoryError):  # numpy's "array is too big", or allocation failed
+        raise DomainError(
+            f"cell (p={p}, r={r}) needs {p * r} values per replication, more than memory holds"
+        ) from None
     hits = dict.fromkeys(cfg.criteria, 0)
     where = f"at (p={p}, r={r}, seed={cfg.seed})"
     for start in range(0, cfg.replications, chunk):
@@ -269,12 +267,9 @@ def _alternative_hits(cfg: SimulationConfig, p: int, r: int) -> dict[Criterion, 
             raise DegenerateDataError(
                 f"replication {start + degenerate[0]} {where} produced a zero total sum of squares"
             )
-        ratio = np.clip(ss.w_e / ss.w_t, 0.0, 1.0)
-        # math.log, as the scalar path takes it: np.log may differ in the last bit
-        log_ratio = np.array([_log_share(x) for x in ratio.tolist()])
+        log_bf = dict(zip((Criterion.FB, Criterion.BIC), log_bfs(p * r, p, ss.w_e / ss.w_t)))
         for criterion in cfg.criteria:
-            log_bf = _KERNELS[criterion](p * r, p, log_ratio)
-            hits[criterion] += int(np.count_nonzero(log_bf > 0))
+            hits[criterion] += int(np.count_nonzero(log_bf[criterion] > 0))
     return hits
 
 

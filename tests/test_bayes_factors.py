@@ -7,6 +7,7 @@ from anovabf.bayes_factors import (
     Model,
     choose_model,
     log_bf_fb_one_way,
+    log_bfs,
     one_way_report,
     posterior_prob,
     rank_two_way_models,
@@ -281,3 +282,22 @@ class TestReports:
         below = score(8, 2, -1e-300, 1.0, Model.FACTOR_A)
         assert below.ss_ratio == 0.0
         assert below.log_bf_fb == below.log_bf_bic == math.inf
+
+
+class TestLogBfs:
+    shares = np.array([0.0, 1e-300, 0.25, 0.5, 0.999999, 1.0, -1e-300, 1.0 + 1e-15])
+
+    def test_batch_equals_its_elements_bit_for_bit(self):
+        fb, bic = log_bfs(40, 5, self.shares)
+        pairs = [log_bfs(40, 5, x) for x in self.shares.tolist()]
+        assert fb.tolist() == [f for f, _ in pairs]
+        assert bic.tolist() == [b for _, b in pairs]
+
+    def test_shares_clamped_into_unit_interval(self):
+        assert log_bfs(8, 2, -1e-300) == log_bfs(8, 2, 0.0) == (math.inf, math.inf)
+        assert log_bfs(8, 2, 1.0 + 1e-15) == log_bfs(8, 2, 1.0)
+
+    @pytest.mark.parametrize("n, s1", [(5, 0), (5, 5), (5, 6)])
+    def test_parameter_count_outside_design_rejected(self, n, s1):
+        with pytest.raises(DomainError, match="0 < s1 < n"):
+            log_bfs(n, s1, 0.5)

@@ -116,7 +116,7 @@ class TestRuntimeErrors:
         assert run(["simulate", "--truth", "ma1", "--ca", "1", "--reps", "5", *grid]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "duplicate" in err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "Criterion" not in err
 
 
     @pytest.mark.parametrize(
@@ -126,14 +126,53 @@ class TestRuntimeErrors:
             (["simulate", "--truth", "ma1", "--p", "2", "--r", "2", "--ca", "nan"], "c_a"),
             (["simulate", "--truth", "ma1", "--p", "2", "--r", "2", "--ca", "inf"], "c_a"),
             (["consistency", "two-way", "--r", "2", "--ca", "nan"], "c_a"),
+            (["consistency", "mse-gap", "--p", "2", "--r", "2", "--effect", "nan"], "effect"),
+            (["consistency", "mse-gap", "--p", "2", "--r", "2", "--effect", "inf"], "effect"),
         ],
-        ids=["oracle-b-inf", "simulate-ca-nan", "simulate-ca-inf", "consistency-ca-nan"],
+        ids=[
+            "oracle-b-inf",
+            "simulate-ca-nan",
+            "simulate-ca-inf",
+            "consistency-ca-nan",
+            "mse-gap-effect-nan",
+            "mse-gap-effect-inf",
+        ],
     )
     def test_non_finite_parameter_named(self, argv, field, capsys):
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f" {field} must be finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["oracle", "check", "--p", "3", "--r", "2", "--ratio", "0.5", "--b", "1e20"],
+                "beta-prime prior a=-0.5, b=1e+20",
+            ),
+            (
+                ["oracle", "check", "--p", "3", "--r", "2", "--ratio", "0.5", "--b", "1e300"],
+                "beta-prime prior a=-0.5, b=1e+300",
+            ),
+            (
+                ["oracle", "check", "--p", "3", "--r", "2", "--ratio", "nan"],
+                "ratio must be in (0, 1], got nan",
+            ),
+            (
+                ["simulate", "--truth", "ma1", "--p", str(2**40), "--r", str(2**40),
+                 "--ca", "1", "--reps", "1"],
+                f"cell (p={2**40}, r={2**40})",
+            ),
+        ],
+        ids=["oracle-b-1e20", "oracle-b-1e300", "oracle-ratio-nan", "simulate-cell-2**80"],
+    )
+    def test_single_error_line(self, argv, message, capsys):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestBayesFactorCommand:
     def test_one_way_json_document(self, tmp_path, capsys):
@@ -258,6 +297,14 @@ class TestConsistencyCommand:
     def test_two_way_window(self, capsys):
         doc = run_json(capsys, ["consistency", "two-way", "--r", "2", "--cab", "3"])
         assert (doc["lower"], doc["signal"], doc["upper"]) == (2.0, 4.0, 8.0)
+        assert doc["consistent"] is True
+
+    @pytest.mark.parametrize(
+        "argv", [["--r", "100000", "--cab", "0.5"], ["--r", "2", "--cab", "1e308"]]
+    )
+    def test_two_way_upper_beyond_a_double(self, argv, capsys):
+        doc = run_json(capsys, ["consistency", "two-way", *argv])
+        assert doc["upper"] == "inf"
         assert doc["consistent"] is True
 
     def test_mse_gap(self, capsys):

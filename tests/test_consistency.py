@@ -85,6 +85,19 @@ class TestTwoWayWindow:
         with pytest.raises(DomainError):
             two_way_consistency_window(1, EffectSizes())
 
+    @pytest.mark.parametrize(
+        "r, e, consistent",
+        [
+            (100000, EffectSizes(c_ab=0.5), True),
+            (2, EffectSizes(c_ab=1e308), True),
+            (2, EffectSizes(c_a=1e308, c_b=1e308, c_ab=1e308), False),
+        ],
+    )
+    def test_upper_bound_beyond_a_double(self, r, e, consistent):
+        w = two_way_consistency_window(r, e)
+        assert w.upper == math.inf
+        assert w.consistent is consistent
+
 
 class TestRatioLimits:
     def test_levels_growing_null(self):
@@ -259,3 +272,6 @@ class TestPredictionGap:
             predicted_mse_gap(1, 4, 0.5)
         with pytest.raises(DomainError):
             predicted_mse_gap(4, 4, -0.5)
+        for effect in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="effect must be finite"):
+                predicted_mse_gap(4, 4, effect)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import anovabf.bayes_factors as bayes_factors
 import anovabf.simulation as simulation
 from anovabf.bayes_factors import Criterion, Model, one_way_report
 from anovabf.datasets import OneWayDataset
@@ -122,8 +123,9 @@ class TestSimulationConfig:
     def test_duplicate_entries_rejected(self, kwargs):
         base = dict(p_list=(2,), r_list=(2,), truth=self.good_truth())
         base.update(kwargs)
-        with pytest.raises(DomainError, match="duplicate"):
+        with pytest.raises(DomainError, match="duplicate") as exc:
             SimulationConfig(**base)
+        assert "Criterion" not in str(exc.value)
 
 
 class TestMakeAlpha:
@@ -353,7 +355,8 @@ class TestFrequencyExperiment:
         def tie(n, s1, log_ratio):
             return np.zeros_like(log_ratio)
 
-        monkeypatch.setattr(simulation, "_KERNELS", {Criterion.FB: tie, Criterion.BIC: tie})
+        monkeypatch.setattr(bayes_factors, "_log_bf_fb_kernel", tie)
+        monkeypatch.setattr(bayes_factors, "_log_bf_bic_kernel", tie)
         table = run_frequency_experiment(self.small_cfg(truth=truth))
         assert set(table.frequencies.values()) == {frequency}
 
@@ -366,6 +369,20 @@ class TestFrequencyExperiment:
             self.small_cfg(**cells | dict(truth=TruthSpec(model=Model.NULL, sigma2=2.0**1020)))
         )
         assert loud.frequencies == base.frequencies
+
+    def test_cell_beyond_array_size_named(self):
+        # numpy refuses a 2**80-value buffer by its size, before allocating
+        cfg = self.small_cfg(p_list=(2**40,), r_list=(2**40,), replications=1)
+        with pytest.raises(DomainError, match=rf"cell \(p={2**40}, r={2**40}\)"):
+            run_frequency_experiment(cfg)
+
+    def test_cell_beyond_memory_named(self, monkeypatch):
+        def out_of_memory(shape, *args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(simulation.np, "empty", out_of_memory)
+        with pytest.raises(DomainError, match=r"cell \(p=3, r=2\)"):
+            run_frequency_experiment(self.small_cfg(p_list=(3,)))
 
     def test_overflowing_effect_names_replication(self):
         truth = TruthSpec(model=Model.FACTOR_A, c_a=1e300, sigma2=1e10)
