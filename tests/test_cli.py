@@ -389,6 +389,11 @@ GOLDEN_ARGV = {
         "simulate", "--truth", "ma1", "--p", "2", "--p", "4", "--r", "2", "--r", "3",
         "--ca", "0.5", "--ca", "2", "--reps", "60", "--seed", "11",
     ],
+    # effect sizes out of sorted order: rows follow the argv
+    "simulate-ma1-ca-argv-order": [
+        "simulate", "--truth", "ma1", "--p", "2", "--p", "4", "--r", "2", "--r", "3",
+        "--ca", "1.0", "--ca", "0.5", "--reps", "60", "--seed", "11",
+    ],
     "simulate-m1-bic": [
         "simulate", "--truth", "m1", "--p", "3", "--r", "2", "--r", "5",
         "--reps", "80", "--seed", "4", "--criteria", "bic",
@@ -410,6 +415,7 @@ GOLDEN_SHA256 = {
     "consistency-two-way": "dd01a7e31acb70bc5df1f87a3d059b45c1263a7519589446a6f184987811d920",
     "consistency-mse-gap": "3f63a72f4c59774a58eca6336bdf61813653be9aaac91d1a102e977d2ec6878a",
     "simulate-ma1-grid": "58cabd51ed57c4f6af49aacaa1f4d87035ad4a7a1093227612ebe886d8f609f1",
+    "simulate-ma1-ca-argv-order": "47547cdbe939a5f7f7238c941fa68dd885edeb8e570a4b53b180997b7d25ded3",
     "simulate-m1-bic": "8823ac3d29626774d9b48780894de24a1eaabbf945fb6859215798cd55290d34",
 }
 
