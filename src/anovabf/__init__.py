@@ -48,8 +48,7 @@ from .prior import (
 from .simulation import (
     FrequencyTable,
     SimulationConfig,
-    TruthSpec,
-    draw_one_way,
+    draw_noise,
     make_alpha,
     run_frequency_experiment,
 )
@@ -76,14 +75,13 @@ __all__ = [
     "RatioLimit",
     "Regime",
     "SimulationConfig",
-    "TruthSpec",
     "TwoWayDataset",
     "TwoWaySS",
     "asymptotic_log_bf",
     "beta_prime_log_density",
     "bf_quadrature",
     "choose_model",
-    "draw_one_way",
+    "draw_noise",
     "h_threshold",
     "integrate",
     "limit_we_wt",

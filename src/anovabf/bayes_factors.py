@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -151,11 +151,25 @@ def score(n: int, s1: int, residual: float, total: float, alternative: Model) ->
     )
 
 
+def _reports(ss, levels: tuple[int, ...], r: int, fits: dict) -> dict[Model, BayesFactorReport]:
+    """Report for each alternative of ``fits``, laid out as by :func:`_two_way_fits`.
+
+    ``levels`` holds each factor's level count; the total sums the
+    components other than w_t in field order.
+    """
+    for count in levels:
+        _check_design(count, r)
+    unit = ss.unit or ss
+    total = sum(getattr(unit, f.name) for f in fields(unit) if f.name not in ("w_t", "unit"))
+    return {
+        m: score(math.prod(levels) * r, s1, sum(getattr(unit, c) for c in residual), total, m)
+        for m, (s1, residual) in fits.items()
+    }
+
+
 def one_way_report(ss: OneWaySS, p: int, r: int) -> BayesFactorReport:
     """Decision report for the level-means model against the common mean."""
-    _check_design(p, r)
-    unit = ss.unit or ss
-    return score(p * r, p, unit.w_e, unit.w_e + unit.w_h, Model.FACTOR_A)
+    return _reports(ss, (p,), r, {Model.FACTOR_A: (p, ("w_e",))})[Model.FACTOR_A]
 
 
 def log_bf_fb_one_way(ss: OneWaySS, p: int, r: int) -> float:
@@ -180,14 +194,7 @@ def _two_way_fits(p: int, q: int) -> dict[Model, tuple[int, tuple[str, ...]]]:
 
 def two_way_reports(ss: TwoWaySS, p: int, q: int, r: int) -> dict[Model, BayesFactorReport]:
     """Decision report for every two-way alternative against the common mean."""
-    _check_design(p, r)
-    _check_design(q, r)
-    unit = ss.unit or ss
-    total = unit.w_a + unit.w_b + unit.w_ab + unit.w_e
-    return {
-        m: score(p * q * r, s1, sum(getattr(unit, c) for c in residual), total, m)
-        for m, (s1, residual) in _two_way_fits(p, q).items()
-    }
+    return _reports(ss, (p, q), r, _two_way_fits(p, q))
 
 
 def rank_two_way_models(

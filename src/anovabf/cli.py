@@ -31,12 +31,7 @@ from .consistency import EffectSizes, h_threshold, predicted_mse_gap, two_way_co
 from .datasets import parse_one_way, parse_two_way, write_csv
 from .errors import AnovaBFError, DomainError, ParseError
 from .prior import BetaPrimePrior, log_bf_quadrature
-from .simulation import (
-    FREQUENCY_CSV_HEADER,
-    SimulationConfig,
-    TruthSpec,
-    run_frequency_experiment,
-)
+from .simulation import FREQUENCY_CSV_HEADER, SimulationConfig, run_frequency_experiment
 from .sums_of_squares import one_way_ss, two_way_ss
 
 ORACLE_TOLERANCE = 1e-8
@@ -207,17 +202,16 @@ def _cmd_simulate(
     except ValueError:
         parser.error(f"unknown criteria {args.criteria!r} (expected a subset of fb,bic)")
 
-    rows: list[list] = []
-    for ca in ca_list:
-        cfg = SimulationConfig(
-            p_list=tuple(args.p),
-            r_list=tuple(args.r),
-            truth=TruthSpec(model=truth_model, c_a=ca),
-            replications=args.reps,
-            seed=args.seed,
-            criteria=criteria,
-        )
-        rows.extend(run_frequency_experiment(cfg).rows())
+    cfg = SimulationConfig(
+        model=truth_model,
+        p_list=tuple(args.p),
+        r_list=tuple(args.r),
+        ca_list=tuple(ca_list),
+        replications=args.reps,
+        seed=args.seed,
+        criteria=criteria,
+    )
+    rows = run_frequency_experiment(cfg).rows()
     params = {
         "truth": truth_model,
         "p": list(args.p),

@@ -126,14 +126,11 @@ def log_bf_quadrature(n: int, p_alt: int, ratio: float, prior: BetaPrimePrior) -
         lo *= 2.0
     while slope(hi) >= 0.0:
         hi *= 2.0
+    name = f"beta-prime prior a={prior.a}, b={prior.b}"
     if math.isinf(lo) or math.isinf(hi):
         # past about b = 1e16 the slope's negative limit alpha - beta + k
         # rounds to 0, and the doubling runs to infinity
-        raise ConvergenceError(
-            "cannot bracket the integrand's mode under the beta-prime prior "
-            f"a={prior.a}, b={prior.b}",
-            estimate=math.nan,
-        )
+        raise ConvergenceError(f"cannot bracket the integrand's mode under the {name}", math.nan)
     m = brentq(slope, lo, hi)
     peak = alpha * _softplus(m) - beta * _softplus(m + log_ratio) + k * m
     step_a, step_b = _softplus_step(m), _softplus_step(m + log_ratio)
@@ -149,9 +146,15 @@ def log_bf_quadrature(n: int, p_alt: int, ratio: float, prior: BetaPrimePrior) -
     while shifted(nodes[-1]) > -_TAIL_DROP or shifted(-nodes[-1]) > -_TAIL_DROP:
         nodes.append(2.0 * nodes[-1])
     nodes = [-x for x in reversed(nodes)] + nodes
-    mass = sum(
-        integrate(lambda x: math.exp(shifted(x)), lo, hi) for lo, hi in zip(nodes, nodes[1:])
-    )
+    try:
+        mass = sum(
+            integrate(lambda x: math.exp(shifted(x)), lo, hi) for lo, hi in zip(nodes, nodes[1:])
+        )
+    except (OverflowError, ConvergenceError) as exc:
+        # math.exp raises past a double's range, and scipy's reasons span
+        # several lines: one line names the prior instead
+        failure = "overflows" if isinstance(exc, OverflowError) else "did not converge"
+        raise ConvergenceError(f"quadrature {failure} under the {name}", math.nan) from None
     return peak - log_beta(prior.a + 1.0, k) + math.log(mass)
 
 

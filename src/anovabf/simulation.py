@@ -2,13 +2,19 @@
 
 Generates balanced one-way data under a declared truth, scores both
 selection criteria (sums of squares, Bayes factors, choice), and
-tabulates how often each criterion picks the true model.
+tabulates how often each criterion picks the true model over a grid of
+level counts p, replication counts r and effect sizes
+c_a = sum(alpha**2)/(p sigma**2). Both criteria see the data only
+through the residual share w_e/w_t, which no shift or rescaling of the
+data moves, so the noise is standard normal around a zero grand mean.
 
 Every replication draws from its own Philox stream (a counter-based
 generator; Salmon et al. 2011, "Parallel random numbers: as easy as
 1, 2, 3"), keyed as ``SeedSequence(entropy=seed, spawn_key=(p, r, rep))``
-would key it, with the counter at zero. The table therefore does not
-depend on how replications are ordered, chunked or distributed, and it
+would key it, with the counter at zero. The key does not involve c_a:
+a chunk's noise is drawn once, and every effect size adds its level
+effects to that noise. The table therefore does not depend on how
+replications are ordered, chunked or distributed, and it
 equals, byte for byte, the table from drawing each replication through
 ``Generator(Philox(SeedSequence(...)))``, which the tests use as the
 reference.
@@ -36,7 +42,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bayes_factors import Criterion, Model, log_bfs
-from .datasets import write_csv
 from .errors import DegenerateDataError, DomainError, require_finite
 from .sums_of_squares import one_way_ss
 
@@ -54,40 +59,28 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 @dataclass(frozen=True)
-class TruthSpec:
-    """Data-generating one-way truth: the null or the level-means model."""
+class SimulationConfig:
+    """One-way truth, grid of p, r and c_a, replication count, seed, and criteria."""
 
     model: Model
-    c_a: float = 0.0
-    mu: float = 0.0
-    sigma2: float = 1.0
-
-    def __post_init__(self):
-        if self.model not in (Model.NULL, Model.FACTOR_A):
-            raise DomainError(f"simulation needs a one-way truth, got {self.model.value!r}")
-        require_finite("truth", c_a=self.c_a, mu=self.mu, sigma2=self.sigma2)
-        if not self.sigma2 > 0:
-            raise DomainError(f"sigma2 must be positive, got {self.sigma2}")
-        if self.c_a < 0:
-            raise DomainError("c_a must be nonnegative")
-        if self.model is Model.NULL and self.c_a != 0.0:
-            raise DomainError(f"c_a must be 0 under model {self.model.value!r}")
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    """Grid of designs, truth, replication count, seed, and criteria to score."""
-
     p_list: tuple[int, ...]
     r_list: tuple[int, ...]
-    truth: TruthSpec
+    ca_list: tuple[float, ...] = (0.0,)
     replications: int = 2000
     seed: int = 0
     criteria: tuple[Criterion, ...] = (Criterion.FB, Criterion.BIC)
 
     def __post_init__(self):
-        if not self.p_list or not self.r_list:
-            raise DomainError("p_list and r_list must be nonempty")
+        if self.model not in (Model.NULL, Model.FACTOR_A):
+            raise DomainError(f"simulation needs a one-way truth, got {self.model.value!r}")
+        for c_a in self.ca_list:
+            require_finite("truth", c_a=c_a)
+            if c_a < 0:
+                raise DomainError("c_a must be nonnegative")
+            if self.model is Model.NULL and c_a != 0.0:
+                raise DomainError(f"c_a must be 0 under model {self.model.value!r}")
+        if not self.p_list or not self.r_list or not self.ca_list:
+            raise DomainError("p_list, r_list and ca_list must be nonempty")
         if any(p < 2 for p in self.p_list) or any(r < 2 for r in self.r_list):
             raise DomainError("every p and r must be at least 2")
         if not 1 <= self.replications <= 2**32:
@@ -97,7 +90,7 @@ class SimulationConfig:
             raise DomainError("seed must fit in 64 unsigned bits")
         if not self.criteria:
             raise DomainError("at least one criterion required")
-        for name in ("p_list", "r_list", "criteria"):
+        for name in ("p_list", "r_list", "ca_list", "criteria"):
             values = tuple(getattr(v, "value", v) for v in getattr(self, name))
             if len(set(values)) != len(values):
                 raise DomainError(f"{name} has duplicate entries: {values}")
@@ -105,12 +98,12 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Selection frequencies keyed by (criterion, p, r), with provenance."""
+    """Frequencies of picking the truth, keyed by (c_a, criterion, p, r), with provenance."""
 
-    truth: TruthSpec
+    model: Model
     replications: int
     seed: int
-    frequencies: dict[tuple[Criterion, int, int], float] = field(default_factory=dict)
+    frequencies: dict[tuple[float, Criterion, int, int], float] = field(default_factory=dict)
 
     def __post_init__(self):
         for key, freq in self.frequencies.items():
@@ -120,43 +113,33 @@ class FrequencyTable:
     def rows(self) -> list[list]:
         """One row per frequency, in the order of ``FREQUENCY_CSV_HEADER``."""
         return [
-            [
-                criterion.value,
-                self.truth.model.value,
-                repr(float(self.truth.c_a)),
-                p,
-                r,
-                repr(float(freq)),
-                self.replications,
-                self.seed,
-            ]
-            for (criterion, p, r), freq in self.frequencies.items()
+            [criterion.value, self.model.value, repr(float(c_a)), p, r, repr(float(freq)),
+             self.replications, self.seed]
+            for (c_a, criterion, p, r), freq in self.frequencies.items()
         ]
 
-    def to_csv(self) -> str:
-        return write_csv(FREQUENCY_CSV_HEADER, self.rows())
 
-
-def make_alpha(p: int, c_a: float, sigma2: float) -> np.ndarray:
+def make_alpha(p: int, c_a: float) -> np.ndarray:
     """Deterministic level effects with exact zero sum and prescribed size.
 
     Scales a sign pattern (+1s, -1s, and a trailing 0 when p is odd) so
-    that sum(alpha**2)/(p*sigma2) equals c_a. Any vector meeting the two
-    constraints generates the same selection law, since the data
-    distribution depends on the effects only through their sum of
-    squares; a fixed pattern keeps runs reproducible.
+    that sum(alpha**2)/p equals c_a, the effect size in units of the
+    noise variance. Any vector meeting the two constraints generates the
+    same selection law, since the data distribution depends on the
+    effects only through their sum of squares; a fixed pattern keeps runs
+    reproducible.
     """
     if p < 2:
         raise DomainError(f"need p >= 2, got {p}")
-    if c_a < 0 or sigma2 <= 0:
-        raise DomainError("need c_a >= 0 and sigma2 > 0")
+    if c_a < 0:
+        raise DomainError("need c_a >= 0")
     if c_a == 0:
         return np.zeros(p)
     half = p // 2
     pattern = np.zeros(p)
     pattern[:half] = 1.0
     pattern[half : 2 * half] = -1.0
-    delta = math.sqrt(c_a * p * sigma2 / float(np.sum(pattern**2)))
+    delta = math.sqrt(c_a * p / float(np.sum(pattern**2)))
     return delta * pattern
 
 
@@ -203,19 +186,15 @@ def _replication_keys(seed: int, p: int, r: int, reps: range) -> np.ndarray:
     return keys
 
 
-def draw_one_way(
-    seed: int, p: int, r: int, truth: TruthSpec, reps: range, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Balanced one-way datasets of replications ``reps`` of cell (p, r).
+def draw_noise(seed: int, p: int, r: int, reps: range, out: np.ndarray | None = None) -> np.ndarray:
+    """Standard normal noise of replications ``reps`` of cell (p, r).
 
     Returns an array of shape (len(reps), p, r), written into ``out``
-    when given. Replication ``rep`` is the data that a Philox stream
-    seeded with ``SeedSequence(entropy=seed, spawn_key=(p, r, rep))``
-    yields under the truth.
+    when given. Replication ``rep`` is what a Philox stream seeded with
+    ``SeedSequence(entropy=seed, spawn_key=(p, r, rep))`` yields.
     """
     if out is None:
         out = np.empty((len(reps), p, r))
-    alpha = make_alpha(p, truth.c_a, truth.sigma2)  # zeros under the null
     bit_generator = np.random.Philox(0)  # re-keyed for every replication below
     generator = np.random.Generator(bit_generator)
     # a fresh stream: counter at zero, nothing buffered
@@ -233,43 +212,47 @@ def draw_one_way(
         key_and_counter["key"] = key
         bit_generator.state = state
         generator.standard_normal(out=out[i])
-    out *= math.sqrt(truth.sigma2)
-    out += truth.mu + alpha[:, None]
     return out
 
 
-def _alternative_hits(cfg: SimulationConfig, p: int, r: int) -> dict[Criterion, int]:
-    """Per criterion, how many replications of cell (p, r) favor the alternative."""
+def _alternative_hits(cfg: SimulationConfig, p: int, r: int) -> dict[tuple[float, Criterion], int]:
+    """Per (c_a, criterion), how many replications of cell (p, r) favor the alternative."""
     chunk = max(1, _CHUNK_VALUES // (p * r))
     try:
-        buffer = np.empty((min(chunk, cfg.replications), p, r))
+        # the noise of a chunk, and the data of one effect size
+        buffers = np.empty((2, min(chunk, cfg.replications), p, r))
     except (ValueError, MemoryError):  # numpy's "array is too big", or allocation failed
         raise DomainError(
             f"cell (p={p}, r={r}) needs {p * r} values per replication, more than memory holds"
         ) from None
-    hits = dict.fromkeys(cfg.criteria, 0)
+    hits = dict.fromkeys(itertools.product(cfg.ca_list, cfg.criteria), 0)
     where = f"at (p={p}, r={r}, seed={cfg.seed})"
     for start in range(0, cfg.replications, chunk):
         reps = range(start, min(start + chunk, cfg.replications))
-        # effects or draws beyond the range of a double make data that is not
-        # finite, which shows up as sums of squares that are not finite; the
-        # shares are taken at unit scale, so finite data of any scale is fine
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = draw_one_way(cfg.seed, p, r, cfg.truth, reps, out=buffer[: len(reps)])
-            ss = one_way_ss(values).unit
-        overflow = np.flatnonzero(~np.isfinite(ss.w_t))
-        if overflow.size:
-            raise DomainError(
-                f"replication {start + overflow[0]} {where} has a sum of squares that is not finite"
-            )
-        degenerate = np.flatnonzero(ss.w_t == 0.0)
-        if degenerate.size:
-            raise DegenerateDataError(
-                f"replication {start + degenerate[0]} {where} produced a zero total sum of squares"
-            )
-        log_bf = dict(zip((Criterion.FB, Criterion.BIC), log_bfs(p * r, p, ss.w_e / ss.w_t)))
-        for criterion in cfg.criteria:
-            hits[criterion] += int(np.count_nonzero(log_bf[criterion] > 0))
+        noise = draw_noise(cfg.seed, p, r, reps, out=buffers[0, : len(reps)])
+        for c_a in cfg.ca_list:
+            # effects beyond the range of a double make data that is not
+            # finite, which shows up as sums of squares that are not finite;
+            # the shares are taken at unit scale, so finite data of any
+            # scale is fine
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = np.add(noise, make_alpha(p, c_a)[:, None], out=buffers[1, : len(reps)])
+                ss = one_way_ss(values).unit
+            overflow = np.flatnonzero(~np.isfinite(ss.w_t))
+            if overflow.size:
+                rep = start + overflow[0]
+                raise DomainError(
+                    f"replication {rep} {where} has a sum of squares that is not finite"
+                )
+            degenerate = np.flatnonzero(ss.w_t == 0.0)
+            if degenerate.size:
+                rep = start + degenerate[0]
+                raise DegenerateDataError(
+                    f"replication {rep} {where} produced a zero total sum of squares"
+                )
+            log_bf = dict(zip((Criterion.FB, Criterion.BIC), log_bfs(p * r, p, ss.w_e / ss.w_t)))
+            for criterion in cfg.criteria:
+                hits[(c_a, criterion)] += int(np.count_nonzero(log_bf[criterion] > 0))
     return hits
 
 
@@ -277,7 +260,8 @@ def run_frequency_experiment(cfg: SimulationConfig) -> FrequencyTable:
     """Tabulate how often each criterion selects the true model.
 
     For every (p, r) in the grid, draws the configured number of
-    replications chunk by chunk and scores each through the sums of
+    replications chunk by chunk, adds each effect size's level effects
+    to the same noise, and scores each replication through the sums of
     squares and both Bayes factors. A criterion picks the alternative
     when its log Bayes factor is positive and the null otherwise, the
     rule of :func:`~anovabf.bayes_factors.choose_model`. A zero total sum
@@ -287,12 +271,12 @@ def run_frequency_experiment(cfg: SimulationConfig) -> FrequencyTable:
     reps = cfg.replications
     hits = {}
     for p, r in itertools.product(cfg.p_list, cfg.r_list):
-        for criterion, alternative in _alternative_hits(cfg, p, r).items():
+        for (c_a, criterion), alternative in _alternative_hits(cfg, p, r).items():
             null = reps - alternative
-            hits[(criterion, p, r)] = alternative if cfg.truth.model is Model.FACTOR_A else null
-    keys = itertools.product(cfg.criteria, cfg.p_list, cfg.r_list)
+            hits[(c_a, criterion, p, r)] = alternative if cfg.model is Model.FACTOR_A else null
+    keys = itertools.product(cfg.ca_list, cfg.criteria, cfg.p_list, cfg.r_list)
     return FrequencyTable(
-        truth=cfg.truth,
+        model=cfg.model,
         replications=reps,
         seed=cfg.seed,
         frequencies={key: hits[key] / reps for key in keys},

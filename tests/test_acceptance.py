@@ -19,7 +19,7 @@ from anovabf.consistency import asymptotic_log_bf, h_threshold, limit_we_wt
 from anovabf.datasets import OneWayDataset, TwoWayDataset
 from anovabf.numerics import Regime, integrate
 from anovabf.prior import BetaPrimePrior, beta_prime_log_density, bf_quadrature
-from anovabf.simulation import SimulationConfig, TruthSpec, run_frequency_experiment
+from anovabf.simulation import SimulationConfig, run_frequency_experiment
 from anovabf.sums_of_squares import OneWaySS, one_way_ss, two_way_ss
 
 
@@ -41,16 +41,17 @@ def frequency_cell(model, c_a, p, r):
     key = (model, c_a, p, r)
     if key not in _FREQ_CACHE:
         cfg = SimulationConfig(
+            model=model,
             p_list=(p,),
             r_list=(r,),
-            truth=TruthSpec(model=model, c_a=c_a),
+            ca_list=(c_a,),
             replications=2000,
             seed=42,
         )
         table = run_frequency_experiment(cfg)
         _FREQ_CACHE[key] = (
-            table.frequencies[(Criterion.FB, p, r)],
-            table.frequencies[(Criterion.BIC, p, r)],
+            table.frequencies[(c_a, Criterion.FB, p, r)],
+            table.frequencies[(c_a, Criterion.BIC, p, r)],
         )
     return _FREQ_CACHE[key]
 

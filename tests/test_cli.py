@@ -160,18 +160,41 @@ class TestRuntimeErrors:
                 "ratio must be in (0, 1], got nan",
             ),
             (
+                ["oracle", "check", "--p", "3", "--r", "2", "--ratio", "0.5",
+                 "--a", "1e300", "--b", "1e300"],
+                "beta-prime prior a=1e+300, b=1e+300",
+            ),
+            (
+                ["oracle", "check", "--p", "3", "--r", "2", "--ratio", "0.5", "--b", "1e10"],
+                "beta-prime prior a=-0.5, b=10000000000.0",
+            ),
+            (
                 ["simulate", "--truth", "ma1", "--p", str(2**40), "--r", str(2**40),
                  "--ca", "1", "--reps", "1"],
                 f"cell (p={2**40}, r={2**40})",
             ),
+            (
+                ["simulate", "--truth", "ma1", "--p", "3", "--r", "2", "--ca", "1e308",
+                 "--reps", "5"],
+                "replication 0 at (p=3, r=2, seed=0) has a sum of squares that is not finite",
+            ),
         ],
-        ids=["oracle-b-1e20", "oracle-b-1e300", "oracle-ratio-nan", "simulate-cell-2**80"],
+        ids=[
+            "oracle-b-1e20",
+            "oracle-b-1e300",
+            "oracle-ratio-nan",
+            "oracle-a-b-1e300",
+            "oracle-b-1e10",
+            "simulate-cell-2**80",
+            "simulate-ca-1e308",
+        ],
     )
-    def test_single_error_line(self, argv, message, capsys):
+    def test_single_error_line(self, argv, message, capsys, recwarn):
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert not recwarn.list
 
 
 class TestBayesFactorCommand:

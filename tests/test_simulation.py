@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,15 +8,14 @@ import pytest
 import anovabf.bayes_factors as bayes_factors
 import anovabf.simulation as simulation
 from anovabf.bayes_factors import Criterion, Model, one_way_report
-from anovabf.datasets import OneWayDataset
+from anovabf.datasets import OneWayDataset, write_csv
 from anovabf.errors import DegenerateDataError, DomainError
 from anovabf.simulation import (
     FREQUENCY_CSV_HEADER,
     FrequencyTable,
     SimulationConfig,
-    TruthSpec,
     _replication_keys,
-    draw_one_way,
+    draw_noise,
     make_alpha,
     run_frequency_experiment,
 )
@@ -26,67 +27,54 @@ def stream(entropy, p, r, rep):
     return np.random.Generator(np.random.Philox(seq))
 
 
-def reference_values(seed, p, r, truth, rep):
+def reference_values(seed, p, r, c_a, rep):
     """One replication's data, drawn from its own SeedSequence-seeded stream."""
-    alpha = make_alpha(p, truth.c_a, truth.sigma2) if truth.model is Model.FACTOR_A else np.zeros(p)
-    noise = stream(seed, p, r, rep).standard_normal((p, r))
-    return truth.mu + alpha[:, None] + math.sqrt(truth.sigma2) * noise
+    return make_alpha(p, c_a)[:, None] + stream(seed, p, r, rep).standard_normal((p, r))
 
 
 def reference_experiment(cfg):
     """The frequency table, one replication at a time through the CLI's scoring path."""
-    frequencies = {}
-    for criterion in cfg.criteria:
-        for p in cfg.p_list:
-            for r in cfg.r_list:
-                frequencies[(criterion, p, r)] = 0.0
-    for p in cfg.p_list:
-        for r in cfg.r_list:
-            hits = dict.fromkeys(cfg.criteria, 0)
-            for rep in range(cfg.replications):
-                values = reference_values(cfg.seed, p, r, cfg.truth, rep)
-                report = one_way_report(one_way_ss(OneWayDataset(values=values)), p, r)
-                for criterion in cfg.criteria:
-                    chosen = report.choice_fb if criterion is Criterion.FB else report.choice_bic
-                    hits[criterion] += chosen is cfg.truth.model
+    keys = itertools.product(cfg.ca_list, cfg.criteria, cfg.p_list, cfg.r_list)
+    frequencies = dict.fromkeys(keys, 0.0)
+    for c_a, p, r in itertools.product(cfg.ca_list, cfg.p_list, cfg.r_list):
+        hits = dict.fromkeys(cfg.criteria, 0)
+        for rep in range(cfg.replications):
+            values = reference_values(cfg.seed, p, r, c_a, rep)
+            report = one_way_report(one_way_ss(OneWayDataset(values=values)), p, r)
             for criterion in cfg.criteria:
-                frequencies[(criterion, p, r)] = hits[criterion] / cfg.replications
+                chosen = report.choice_fb if criterion is Criterion.FB else report.choice_bic
+                hits[criterion] += chosen is cfg.model
+        for criterion in cfg.criteria:
+            frequencies[(c_a, criterion, p, r)] = hits[criterion] / cfg.replications
     return FrequencyTable(
-        truth=cfg.truth, replications=cfg.replications, seed=cfg.seed, frequencies=frequencies
+        model=cfg.model, replications=cfg.replications, seed=cfg.seed, frequencies=frequencies
     )
 
 
-class TestTruthSpec:
+class TestSimulationConfig:
     def test_effects_forbidden_under_smaller_models(self):
-        with pytest.raises(DomainError):
-            TruthSpec(model=Model.NULL, c_a=0.5)
-        assert TruthSpec(model=Model.FACTOR_A, c_a=0.5).c_a == 0.5
+        with pytest.raises(DomainError, match="c_a must be 0 under model '1'"):
+            SimulationConfig(model=Model.NULL, p_list=(2,), r_list=(2,), ca_list=(0.0, 0.5))
+        cfg = SimulationConfig(model=Model.FACTOR_A, p_list=(2,), r_list=(2,), ca_list=(0.5,))
+        assert cfg.ca_list == (0.5,)
 
     @pytest.mark.parametrize("model", [Model.FACTOR_B, Model.ADDITIVE, Model.FULL])
     def test_two_way_truths_rejected(self, model):
         with pytest.raises(DomainError, match="one-way truth"):
-            TruthSpec(model=model)
+            SimulationConfig(model=model, p_list=(2,), r_list=(2,))
 
-    @pytest.mark.parametrize("kwargs", [{"mu": math.inf}, {"mu": math.nan}, {"sigma2": math.inf}])
-    def test_non_finite_parameters_rejected(self, kwargs):
-        with pytest.raises(DomainError):
-            TruthSpec(model=Model.NULL, **kwargs)
+    @pytest.mark.parametrize("ca_list", [(math.inf,), (math.nan,), (0.5, math.nan)])
+    def test_non_finite_effect_rejected(self, ca_list):
+        with pytest.raises(DomainError, match="truth c_a must be finite"):
+            SimulationConfig(model=Model.FACTOR_A, p_list=(2,), r_list=(2,), ca_list=ca_list)
 
     def test_negative_effect_rejected(self):
-        with pytest.raises(DomainError):
-            TruthSpec(model=Model.FACTOR_A, c_a=-1.0)
-
-    def test_nonpositive_variance_rejected(self):
-        with pytest.raises(DomainError):
-            TruthSpec(model=Model.NULL, sigma2=0.0)
-
-
-class TestSimulationConfig:
-    def good_truth(self):
-        return TruthSpec(model=Model.NULL)
+        with pytest.raises(DomainError, match="c_a must be nonnegative"):
+            SimulationConfig(model=Model.FACTOR_A, p_list=(2,), r_list=(2,), ca_list=(-1.0,))
 
     def test_defaults(self):
-        cfg = SimulationConfig(p_list=(2,), r_list=(3,), truth=self.good_truth())
+        cfg = SimulationConfig(model=Model.NULL, p_list=(2,), r_list=(3,))
+        assert cfg.ca_list == (0.0,)
         assert cfg.replications == 2000
         assert cfg.seed == 0
         assert cfg.criteria == (Criterion.FB, Criterion.BIC)
@@ -96,6 +84,7 @@ class TestSimulationConfig:
         [
             {"p_list": ()},
             {"r_list": ()},
+            {"ca_list": ()},
             {"p_list": (1,)},
             {"r_list": (2, 1)},
             {"replications": 0},
@@ -106,7 +95,7 @@ class TestSimulationConfig:
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
-        base = dict(p_list=(2,), r_list=(2,), truth=self.good_truth())
+        base = dict(model=Model.NULL, p_list=(2,), r_list=(2,))
         base.update(kwargs)
         with pytest.raises(DomainError):
             SimulationConfig(**base)
@@ -116,12 +105,13 @@ class TestSimulationConfig:
         [
             {"p_list": (3, 4, 3)},
             {"r_list": (2, 2)},
+            {"ca_list": (0.0, 0.0)},
             {"criteria": (Criterion.FB, Criterion.BIC, Criterion.FB)},
         ],
-        ids=["p_list", "r_list", "criteria"],
+        ids=["p_list", "r_list", "ca_list", "criteria"],
     )
     def test_duplicate_entries_rejected(self, kwargs):
-        base = dict(p_list=(2,), r_list=(2,), truth=self.good_truth())
+        base = dict(model=Model.NULL, p_list=(2,), r_list=(2,))
         base.update(kwargs)
         with pytest.raises(DomainError, match="duplicate") as exc:
             SimulationConfig(**base)
@@ -130,28 +120,27 @@ class TestSimulationConfig:
 
 class TestMakeAlpha:
     def test_two_levels_unit_effect(self):
-        np.testing.assert_array_equal(make_alpha(2, 1.0, 1.0), [1.0, -1.0])
+        np.testing.assert_array_equal(make_alpha(2, 1.0), [1.0, -1.0])
 
     def test_three_levels_unit_effect(self):
         d = math.sqrt(1.5)
-        np.testing.assert_allclose(make_alpha(3, 1.0, 1.0), [d, -d, 0.0], rtol=1e-15)
+        np.testing.assert_allclose(make_alpha(3, 1.0), [d, -d, 0.0], rtol=1e-15)
 
     def test_null_effect_gives_zeros(self):
-        np.testing.assert_array_equal(make_alpha(7, 0.0, 3.0), np.zeros(7))
+        np.testing.assert_array_equal(make_alpha(7, 0.0), np.zeros(7))
 
     @pytest.mark.parametrize("c_a", [0.0, 0.1, 0.5, 1.0, 2.0, 5.0])
     def test_constraints_across_level_counts(self, c_a):
-        sigma2 = 2.7
         for p in range(2, 102):
-            alpha = make_alpha(p, c_a, sigma2)
+            alpha = make_alpha(p, c_a)
             assert alpha.shape == (p,)
             assert abs(alpha.sum()) <= 1e-12 * (1.0 + np.abs(alpha).max())
-            size = float(alpha @ alpha) / (p * sigma2)
+            size = float(alpha @ alpha) / p
             np.testing.assert_allclose(size, c_a, rtol=1e-12, atol=1e-15)
 
     def test_single_level_rejected(self):
         with pytest.raises(DomainError):
-            make_alpha(1, 1.0, 1.0)
+            make_alpha(1, 1.0)
 
 
 class TestReplicationKeys:
@@ -173,60 +162,35 @@ class TestReplicationKeys:
         assert len({tuple(key) for key in keys}) == 10
 
 
-class TestSimulateOneWay:
+class TestDrawNoise:
     def test_deterministic_given_stream_state(self):
-        truth = TruthSpec(model=Model.FACTOR_A, c_a=1.0)
-        a = draw_one_way(1, 3, 4, truth, range(1))
-        b = draw_one_way(1, 3, 4, truth, range(1))
+        a = draw_noise(1, 3, 4, range(1))
+        b = draw_noise(1, 3, 4, range(1))
         np.testing.assert_array_equal(a, b)
 
     def test_shape(self):
-        d = draw_one_way(2, 6, 3, TruthSpec(model=Model.NULL), range(1))
+        d = draw_noise(2, 6, 3, range(1))
         assert d.shape == (1, 6, 3)
 
-    def test_mean_structure_with_tiny_noise(self):
-        truth = TruthSpec(model=Model.FACTOR_A, c_a=1.0, mu=10.0, sigma2=1e-12)
-        d = draw_one_way(3, 4, 3, truth, range(1))[0]
-        expected = 10.0 + make_alpha(4, 1.0, 1e-12)
-        np.testing.assert_allclose(d.mean(axis=1), expected, atol=1e-5)
-        assert d.std(axis=1).max() < 1e-5
+    def test_unit_variance(self):
+        d = draw_noise(5, 10, 10000, range(1))[0]
+        assert abs(d.var() - 1.0) < 0.02
 
-    def test_null_centers_on_grand_mean(self):
-        truth = TruthSpec(model=Model.NULL, mu=-3.0, sigma2=1e-12)
-        d = draw_one_way(4, 5, 2, truth, range(1))[0]
-        np.testing.assert_allclose(d, -3.0, atol=1e-5)
-
-    def test_noise_scale(self):
-        truth = TruthSpec(model=Model.NULL, sigma2=4.0)
-        d = draw_one_way(5, 10, 10000, truth, range(1))[0]
-        assert abs(d.var() / 4.0 - 1.0) < 0.02
-
-    def test_two_way_truth_rejected(self):
-        with pytest.raises(DomainError):
-            draw_one_way(6, 3, 3, TruthSpec(model=Model.FULL), range(1))
-
-    @pytest.mark.parametrize(
-        "truth",
-        [
-            TruthSpec(model=Model.NULL),
-            TruthSpec(model=Model.FACTOR_A, c_a=0.7, mu=2.5, sigma2=3.0),
-        ],
-        ids=["null", "level-means"],
-    )
-    def test_equals_one_stream_per_replication(self, truth):
+    def test_equals_one_stream_per_replication(self):
         reps = range(5, 12)
         out = np.full((len(reps), 7, 3), np.nan)
-        assert draw_one_way(2**40 + 3, 7, 3, truth, reps, out=out) is out
+        assert draw_noise(2**40 + 3, 7, 3, reps, out=out) is out
         for i, rep in enumerate(reps):
-            np.testing.assert_array_equal(out[i], reference_values(2**40 + 3, 7, 3, truth, rep))
+            np.testing.assert_array_equal(out[i], reference_values(2**40 + 3, 7, 3, 0.0, rep))
 
 
 class TestFrequencyExperiment:
     def small_cfg(self, **kwargs):
         base = dict(
+            model=Model.FACTOR_A,
             p_list=(2, 3),
             r_list=(2,),
-            truth=TruthSpec(model=Model.FACTOR_A, c_a=1.0),
+            ca_list=(1.0,),
             replications=200,
             seed=11,
         )
@@ -237,7 +201,7 @@ class TestFrequencyExperiment:
         a = run_frequency_experiment(self.small_cfg())
         b = run_frequency_experiment(self.small_cfg())
         assert a.frequencies == b.frequencies
-        assert a.to_csv() == b.to_csv()
+        assert a.rows() == b.rows()
 
     def test_grid_composes_from_single_cells(self):
         grid = run_frequency_experiment(self.small_cfg())
@@ -250,17 +214,17 @@ class TestFrequencyExperiment:
     def test_keys_and_range(self):
         table = run_frequency_experiment(self.small_cfg())
         assert set(table.frequencies) == {
-            (c, p, 2) for c in (Criterion.FB, Criterion.BIC) for p in (2, 3)
+            (1.0, c, p, 2) for c in (Criterion.FB, Criterion.BIC) for p in (2, 3)
         }
         assert all(0.0 <= v <= 1.0 for v in table.frequencies.values())
 
     def test_criteria_subset(self):
         table = run_frequency_experiment(self.small_cfg(criteria=(Criterion.FB,)))
-        assert all(key[0] is Criterion.FB for key in table.frequencies)
+        assert all(key[1] is Criterion.FB for key in table.frequencies)
 
     def test_csv_layout(self):
         table = run_frequency_experiment(self.small_cfg(p_list=(2,)))
-        lines = table.to_csv().strip().split("\n")
+        lines = write_csv(FREQUENCY_CSV_HEADER, table.rows()).strip().split("\n")
         assert lines[0] == ",".join(FREQUENCY_CSV_HEADER)
         assert len(lines) == 3
         fields = lines[1].split(",")
@@ -275,8 +239,7 @@ class TestFrequencyExperiment:
         # under the null the variance-ratio statistic is F(p-1, p(r-1));
         # its mean p(r-1)/(p(r-1)-2) checks the whole generation pipeline
         p, r, reps = 5, 10, 10000
-        truth = TruthSpec(model=Model.NULL)
-        ss = one_way_ss(draw_one_way(7, p, r, truth, range(reps)))
+        ss = one_way_ss(draw_noise(7, p, r, range(reps)))
         total = sum(((ss.w_h / (p - 1)) / (ss.w_e / (p * (r - 1)))).tolist())
         d2 = p * (r - 1)
         target = d2 / (d2 - 2)
@@ -288,87 +251,103 @@ class TestFrequencyExperiment:
         freqs = []
         for p in (10, 50, 100):
             cfg = SimulationConfig(
+                model=Model.FACTOR_A,
                 p_list=(p,),
                 r_list=(2,),
-                truth=TruthSpec(model=Model.FACTOR_A, c_a=0.1),
+                ca_list=(0.1,),
                 replications=2000,
                 seed=42,
                 criteria=(Criterion.FB,),
             )
             table = run_frequency_experiment(cfg)
-            freqs.append(table.frequencies[(Criterion.FB, p, 2)])
+            freqs.append(table.frequencies[(0.1, Criterion.FB, p, 2)])
         assert freqs[0] >= freqs[1] >= freqs[2]
         assert freqs[2] <= 0.02
 
     def test_frequency_table_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             FrequencyTable(
-                truth=TruthSpec(model=Model.NULL),
+                model=Model.NULL,
                 replications=10,
                 seed=0,
-                frequencies={(Criterion.FB, 2, 2): 1.5},
+                frequencies={(0.0, Criterion.FB, 2, 2): 1.5},
             )
 
     @pytest.mark.parametrize("chunk_values", [1, 7, 50, simulation._CHUNK_VALUES])
     def test_table_independent_of_chunk_size(self, chunk_values, monkeypatch):
         cfg = self.small_cfg(r_list=(2, 5), replications=123)
-        default = run_frequency_experiment(cfg).to_csv()
+        default = run_frequency_experiment(cfg).rows()
         monkeypatch.setattr(simulation, "_CHUNK_VALUES", chunk_values)
-        assert run_frequency_experiment(cfg).to_csv() == default
+        assert run_frequency_experiment(cfg).rows() == default
 
     @pytest.mark.parametrize(
-        "truth",
-        [TruthSpec(model=Model.NULL), TruthSpec(model=Model.FACTOR_A, c_a=0.4, sigma2=2.0)],
-        ids=["null", "level-means"],
+        "model, ca_list",
+        [(Model.NULL, (0.0,)), (Model.FACTOR_A, (0.4,)), (Model.FACTOR_A, (0.4, 0.0, 1.5))],
+        ids=["null", "level-means", "effect-grid"],
     )
-    def test_equals_one_replication_at_a_time(self, truth, monkeypatch):
+    def test_equals_one_replication_at_a_time(self, model, ca_list, monkeypatch):
         monkeypatch.setattr(simulation, "_CHUNK_VALUES", 64)
-        cfg = self.small_cfg(p_list=(2, 5), r_list=(2, 3), truth=truth, seed=2**33 + 1)
+        cfg = self.small_cfg(
+            p_list=(2, 5), r_list=(2, 3), model=model, ca_list=ca_list, seed=2**33 + 1
+        )
         table = run_frequency_experiment(cfg)
         reference = reference_experiment(cfg)
         assert table.frequencies == reference.frequencies
         assert list(table.frequencies) == list(reference.frequencies)
-        assert table.to_csv() == reference.to_csv()
+        assert table.rows() == reference.rows()
+        # the grid equals its effect sizes run one at a time, in ca_list order
+        single = [run_frequency_experiment(replace(cfg, ca_list=(c_a,))) for c_a in ca_list]
+        assert table.rows() == [row for part in single for row in part.rows()]
+
+    def test_noise_drawn_once_per_chunk(self, monkeypatch):
+        draw, calls = simulation.draw_noise, []
+
+        def counted(seed, p, r, reps, out=None):
+            calls.append((p, r, reps))
+            return draw(seed, p, r, reps, out)
+
+        monkeypatch.setattr(simulation, "draw_noise", counted)
+        run_frequency_experiment(self.small_cfg(ca_list=(0.5, 1.0, 2.0)))
+        assert calls == [(2, 2, range(200)), (3, 2, range(200))]
 
     @pytest.mark.parametrize("chunk_values", [12, simulation._CHUNK_VALUES])
     def test_zero_total_names_replication(self, chunk_values, monkeypatch):
-        draw = simulation.draw_one_way
+        draw = simulation.draw_noise
 
-        def flat_replication_13(seed, p, r, truth, reps, out=None):
-            values = draw(seed, p, r, truth, reps, out)
+        def flat_replication_13(seed, p, r, reps, out=None):
+            noise = draw(seed, p, r, reps, out)
             if 13 in reps:
-                values[reps.index(13)] = 1.0
-            return values
+                # noise that cancels the level effects leaves every value 0
+                noise[reps.index(13)] = -make_alpha(p, 1.0)[:, None]
+            return noise
 
         monkeypatch.setattr(simulation, "_CHUNK_VALUES", chunk_values)
-        monkeypatch.setattr(simulation, "draw_one_way", flat_replication_13)
+        monkeypatch.setattr(simulation, "draw_noise", flat_replication_13)
         with pytest.raises(DegenerateDataError, match=r"replication 13 at \(p=3, r=2, seed=11\)"):
             run_frequency_experiment(self.small_cfg(p_list=(3,)))
 
     @pytest.mark.parametrize(
-        "truth, frequency",
-        [(TruthSpec(model=Model.NULL), 1.0), (TruthSpec(model=Model.FACTOR_A, c_a=1.0), 0.0)],
+        "model, c_a, frequency",
+        [(Model.NULL, 0.0, 1.0), (Model.FACTOR_A, 1.0, 0.0)],
         ids=["null", "level-means"],
     )
-    def test_tie_goes_to_the_null(self, truth, frequency, monkeypatch):
+    def test_tie_goes_to_the_null(self, model, c_a, frequency, monkeypatch):
         # choose_model keeps the null at a log Bayes factor of exactly 0
         def tie(n, s1, log_ratio):
             return np.zeros_like(log_ratio)
 
         monkeypatch.setattr(bayes_factors, "_log_bf_fb_kernel", tie)
         monkeypatch.setattr(bayes_factors, "_log_bf_bic_kernel", tie)
-        table = run_frequency_experiment(self.small_cfg(truth=truth))
+        table = run_frequency_experiment(self.small_cfg(model=model, ca_list=(c_a,)))
         assert set(table.frequencies.values()) == {frequency}
 
-    def test_noise_beyond_double_range_of_squares(self):
-        # a power-of-two variance scales the draws exactly, and their squares
-        # overflow; the unit-scale shares pick the same models
-        cells = dict(p_list=(10,), r_list=(2, 4), truth=TruthSpec(model=Model.NULL))
-        base = run_frequency_experiment(self.small_cfg(**cells))
-        loud = run_frequency_experiment(
-            self.small_cfg(**cells | dict(truth=TruthSpec(model=Model.NULL, sigma2=2.0**1020)))
-        )
-        assert loud.frequencies == base.frequencies
+    def test_effect_beyond_double_range_of_squares(self):
+        # the effects are finite but the sums of their squares overflow;
+        # the unit-scale shares see an effect that dwarfs the noise
+        with np.errstate(over="ignore"):
+            assert one_way_ss(np.zeros((10, 2)) + make_alpha(10, 1e307)[:, None]).w_t == math.inf
+        cfg = self.small_cfg(p_list=(10,), r_list=(2, 4), ca_list=(1e307,))
+        assert set(run_frequency_experiment(cfg).frequencies.values()) == {1.0}
 
     def test_cell_beyond_array_size_named(self):
         # numpy refuses a 2**80-value buffer by its size, before allocating
@@ -385,6 +364,6 @@ class TestFrequencyExperiment:
             run_frequency_experiment(self.small_cfg(p_list=(3,)))
 
     def test_overflowing_effect_names_replication(self):
-        truth = TruthSpec(model=Model.FACTOR_A, c_a=1e300, sigma2=1e10)
-        with pytest.raises(DomainError, match=r"replication 0 at \(p=2, r=2, seed=11\).*not finite"):
-            run_frequency_experiment(self.small_cfg(p_list=(2,), truth=truth))
+        cfg = self.small_cfg(p_list=(3,), ca_list=(1e308,))
+        with pytest.raises(DomainError, match=r"replication 0 at \(p=3, r=2, seed=11\).*not finite"):
+            run_frequency_experiment(cfg)
