@@ -1,11 +1,10 @@
 """Beta-prime hyperprior and the quadrature Bayes factor.
 
-This is the numerical route the closed forms are checked against: the
-Bayes factor as an explicit mixture over the prior scale g, integrated
-by adaptive quadrature over u = log g in log space, so factors far
-beyond the range of a double are checked too. It also supports
-hyperprior parameters off the closed-form manifold, including the
-hyper-g case b = 0.
+The numerical route the closed forms are checked against: the Bayes
+factor as an explicit mixture over the prior scale g, integrated in log
+space over u = log g by the batched rule of :func:`numerics.integrate`,
+so factors far beyond a double's range are checked too, on and off the
+closed-form manifold (the hyper-g case is b = 0).
 """
 
 from __future__ import annotations
@@ -13,12 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConvergenceError, DomainError, require_finite
 from .numerics import integrate, log_beta
 
 # The integration range ends where the log integrand is this far below its
-# peak; the tails beyond hold a negligible share of the mass.
+# peak, at the first of up to 64 doublings; the tails beyond hold a
+# negligible share of the mass.
 _TAIL_DROP = 60.0
+_DOUBLINGS = 2.0 ** np.arange(64)
 
 
 @dataclass(frozen=True)
@@ -55,24 +58,12 @@ class BetaPrimePrior:
         return cls(a=a, b=0.0)
 
 
-def beta_prime_log_density(prior: BetaPrimePrior, g: float) -> float:
-    """log density of the beta-prime prior at g > 0."""
-    if not g > 0:
+def beta_prime_log_density(prior: BetaPrimePrior, g: float | np.ndarray) -> float | np.ndarray:
+    """log density of the beta-prime prior at g > 0, elementwise over an array."""
+    if not np.all(np.greater(g, 0.0)):
         raise DomainError(f"density defined for g > 0, got {g}")
-    return (
-        prior.b * math.log(g)
-        - (prior.a + prior.b + 2.0) * math.log1p(g)
-        - log_beta(prior.a + 1.0, prior.b + 1.0)
-    )
-
-
-def _check_bf_args(n: int, p_alt: int, ratio: float) -> None:
-    if p_alt < 2:
-        raise DomainError(f"alternative needs at least 2 mean parameters, got {p_alt}")
-    if n <= p_alt:
-        raise DomainError(f"need n > p_alt, got n={n}, p_alt={p_alt}")
-    if not (0.0 < ratio <= 1.0):
-        raise DomainError(f"sums-of-squares ratio must be in (0, 1], got {ratio}")
+    log_norm = log_beta(prior.a + 1.0, prior.b + 1.0)
+    return prior.b * np.log(g) - (prior.a + prior.b + 2.0) * np.log1p(g) - log_norm
 
 
 def _softplus(u: float) -> float:
@@ -84,20 +75,18 @@ def _sigmoid(u: float) -> float:
     return math.exp(u - _softplus(u))
 
 
-def _softplus_step(v: float):
-    """x -> softplus(v + x) - softplus(v), without cancellation near x = 0.
+def _softplus_step(v: float, x: np.ndarray) -> np.ndarray:
+    """softplus(v + x) - softplus(v) for an array x, without cancellation near x = 0.
 
-    For v <= 0 this is log1p(sigmoid(v) * expm1(x)), whose argument stays
-    above -1/2; for v > 0 it is the mirror x + step(-v)(-x). Past
-    x = 700, where expm1 overflows, the plain difference is exact enough.
-    """
+    For v <= 0 this is log1p(sigmoid(v) * expm1(x)), whose argument stays above
+    -1/2, or past x = 700, where expm1 overflows, the plain difference; for
+    v > 0 it is the mirror x + step(-v, -x)."""
     if v > 0.0:
-        mirror = _softplus_step(-v)
-        return lambda x: x + mirror(-x)
-    base, sigmoid = _softplus(v), _sigmoid(v)
-    return lambda x: (
-        _softplus(v + x) - base if x > 700.0 else math.log1p(sigmoid * math.expm1(x))
-    )
+        return x + _softplus_step(-v, -x)
+    if x.max() <= 700.0:
+        return np.log1p(_sigmoid(v) * np.expm1(x))
+    near = np.log1p(_sigmoid(v) * np.expm1(np.minimum(x, 700.0)))
+    return np.where(x > 700.0, np.logaddexp(0.0, v + x) - _softplus(v), near)
 
 
 def log_bf_quadrature(n: int, p_alt: int, ratio: float, prior: BetaPrimePrior) -> float:
@@ -111,10 +100,16 @@ def log_bf_quadrature(n: int, p_alt: int, ratio: float, prior: BetaPrimePrior) -
     in length away from m until it is _TAIL_DROP below the peak; the log
     of that integral is added back to the peak.
     """
-    # scipy.integrate, which numerics.integrate loads, loads scipy.optimize
+    # imported here: scipy.optimize costs more start-up than the rest of
+    # the package, and only the quadrature oracle needs it
     from scipy.optimize import brentq
 
-    _check_bf_args(n, p_alt, ratio)
+    if p_alt < 2:
+        raise DomainError(f"alternative needs at least 2 mean parameters, got {p_alt}")
+    if n <= p_alt:
+        raise DomainError(f"need n > p_alt, got n={n}, p_alt={p_alt}")
+    if not (0.0 < ratio <= 1.0):
+        raise DomainError(f"sums-of-squares ratio must be in (0, 1], got {ratio}")
     alpha = (n - p_alt) / 2.0 - prior.a - prior.b - 2.0
     beta, k, log_ratio = (n - 1) / 2.0, prior.b + 1.0, math.log(ratio)
 
@@ -133,27 +128,29 @@ def log_bf_quadrature(n: int, p_alt: int, ratio: float, prior: BetaPrimePrior) -
         raise ConvergenceError(f"cannot bracket the integrand's mode under the {name}", math.nan)
     m = brentq(slope, lo, hi)
     peak = alpha * _softplus(m) - beta * _softplus(m + log_ratio) + k * m
-    step_a, step_b = _softplus_step(m), _softplus_step(m + log_ratio)
 
-    def shifted(x: float) -> float:
-        return alpha * step_a(x) - beta * step_b(x) + k * x
+    def shifted(x: np.ndarray) -> np.ndarray:
+        return alpha * _softplus_step(m, x) - beta * _softplus_step(m + log_ratio, x) + k * x
 
-    # the segments start at the peak's width, capped at 1 so that a long
-    # flat stretch next to a sharp mode is still resolved
+    # the segments start at the peak's width, capped at 1 so that a long flat
+    # stretch next to a sharp mode is still resolved; the first 8 doublings,
+    # enough as a rule, keep the step below x = 700
     curvature = beta * _sigmoid(m + log_ratio) * _sigmoid(-m - log_ratio)
     curvature -= alpha * _sigmoid(m) * _sigmoid(-m)
-    nodes = [max(curvature, 1.0) ** -0.5]
-    while shifted(nodes[-1]) > -_TAIL_DROP or shifted(-nodes[-1]) > -_TAIL_DROP:
-        nodes.append(2.0 * nodes[-1])
-    nodes = [-x for x in reversed(nodes)] + nodes
     try:
-        mass = sum(
-            integrate(lambda x: math.exp(shifted(x)), lo, hi) for lo, hi in zip(nodes, nodes[1:])
-        )
-    except (OverflowError, ConvergenceError) as exc:
-        # math.exp raises past a double's range, and scipy's reasons span
-        # several lines: one line names the prior instead
-        failure = "overflows" if isinstance(exc, OverflowError) else "did not converge"
+        with np.errstate(over="raise"):
+            for count in (8, len(_DOUBLINGS)):
+                reach = max(curvature, 1.0) ** -0.5 * _DOUBLINGS[:count]
+                ends = shifted(np.concatenate([reach, -reach])).reshape(2, count) <= -_TAIL_DROP
+                if ends.all(axis=0).any():
+                    break
+            else:
+                raise ConvergenceError("no doubling reaches the tails", math.nan)
+            reach = reach[: ends.all(axis=0).argmax() + 1]
+            mass = integrate(lambda x: np.exp(shifted(x)), np.concatenate([-reach[::-1], reach]))
+    except (FloatingPointError, ConvergenceError) as exc:
+        # one line names the prior, whatever failed
+        failure = "overflows" if isinstance(exc, FloatingPointError) else "did not converge"
         raise ConvergenceError(f"quadrature {failure} under the {name}", math.nan) from None
     return peak - log_beta(prior.a + 1.0, k) + math.log(mass)
 

@@ -243,12 +243,14 @@ def _alternative_hits(cfg: SimulationConfig, p: int, r: int) -> dict[tuple[float
                 rep = start + overflow[0]
                 raise DomainError(
                     f"replication {rep} {where} has a sum of squares that is not finite"
+                    f" (c_a={c_a})"
                 )
             degenerate = np.flatnonzero(ss.w_t == 0.0)
             if degenerate.size:
                 rep = start + degenerate[0]
                 raise DegenerateDataError(
                     f"replication {rep} {where} produced a zero total sum of squares"
+                    f" (c_a={c_a})"
                 )
             log_bf = dict(zip((Criterion.FB, Criterion.BIC), log_bfs(p * r, p, ss.w_e / ss.w_t)))
             for criterion in cfg.criteria:

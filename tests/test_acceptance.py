@@ -17,8 +17,8 @@ import pytest
 from anovabf.bayes_factors import Criterion, Model, log_bf_fb_one_way, two_way_reports
 from anovabf.consistency import asymptotic_log_bf, h_threshold, limit_we_wt
 from anovabf.datasets import OneWayDataset, TwoWayDataset
-from anovabf.numerics import Regime, integrate
-from anovabf.prior import BetaPrimePrior, beta_prime_log_density, bf_quadrature
+from anovabf.numerics import Regime
+from anovabf.prior import BetaPrimePrior, bf_quadrature
 from anovabf.simulation import SimulationConfig, run_frequency_experiment
 from anovabf.sums_of_squares import OneWaySS, one_way_ss, two_way_ss
 
@@ -85,14 +85,6 @@ def brute_two_way(y):
         (y[i][j][k] - grand) ** 2 for i in range(p) for j in range(q) for k in range(r)
     )
     return w_t, w_a, w_b, w_ab, w_e
-
-
-def prior_mass(prior):
-    def integrand(t):
-        g = t / (1.0 - t)
-        return math.exp(beta_prime_log_density(prior, g) - 2.0 * math.log1p(-t))
-
-    return integrate(integrand, 0.0, 1.0)
 
 
 def test_criterion_1_closed_form_matches_quadrature(announce):
@@ -184,6 +176,10 @@ def test_criterion_4_selection_frequencies(announce):
     elapsed = time.perf_counter() - start
     checks = {
         "null (2,2) fb in [0.73,0.81]": 0.73 <= null_22_fb <= 0.81,
+        # the exact hit probability here is 0.97334 (an F tail at the FB
+        # threshold), about 0.9 sd above the band's floor at 2000 reps, so
+        # the band sits close: a new layout of the one-way draws fails it
+        # with probability about 0.16
         "null (5,5) fb in [0.97,1.01]": 0.97 <= null_55_fb <= 1.01,
         "c_a=2 (100,2) fb >= 0.98": strong_fb >= 0.98,
         "c_a=2 (100,2) bic <= 0.02": strong_bic <= 0.02,
@@ -251,7 +247,7 @@ def test_criterion_7_two_way_coherence(announce):
     assert ok, (worst, elapsed)
 
 
-def test_criterion_8_prior_propriety(announce):
+def test_criterion_8_prior_propriety(announce, prior_mass):
     start = time.perf_counter()
     worst = 0.0
     for a in (-0.5, 0.0, 1.0, 3.0):

@@ -178,6 +178,12 @@ class TestRuntimeErrors:
                  "--reps", "5"],
                 "replication 0 at (p=3, r=2, seed=0) has a sum of squares that is not finite",
             ),
+            (
+                ["simulate", "--truth", "ma1", "--p", "3", "--r", "2", "--ca", "0.5",
+                 "--ca", "1e308", "--reps", "5"],
+                "replication 0 at (p=3, r=2, seed=0) has a sum of squares that is not finite"
+                " (c_a=1e+308)",
+            ),
         ],
         ids=[
             "oracle-b-1e20",
@@ -187,6 +193,7 @@ class TestRuntimeErrors:
             "oracle-b-1e10",
             "simulate-cell-2**80",
             "simulate-ca-1e308",
+            "simulate-second-ca-1e308",
         ],
     )
     def test_single_error_line(self, argv, message, capsys, recwarn):
@@ -309,6 +316,16 @@ class TestOracleCommand:
         doc = run_json(
             capsys, ["oracle", "check", "--p", "2", "--r", "500000", "--ratio", "0.99999"]
         )
+        assert doc["within_tolerance"] is True
+
+
+    @pytest.mark.parametrize("ratio", ["0.01", "0.3", "0.9", "0.99999"])
+    @pytest.mark.parametrize("r", ["2", "70", "5000"])
+    @pytest.mark.parametrize("p", ["2", "14", "200"])
+    def test_verdict_across_the_design_range(self, p, r, ratio, capsys):
+        # the corners of the oracle benchmark's domain; several factors lie
+        # beyond +-709, where the linear scale overflows
+        doc = run_json(capsys, ["oracle", "check", "--p", p, "--r", r, "--ratio", ratio])
         assert doc["within_tolerance"] is True
 
 
@@ -541,7 +558,9 @@ class TestInstalledEntryPoints:
             text=True,
             env=child_env,
         )
-        assert "'scipy.integrate'" in proc.stderr.splitlines()[-1]
+        loaded = proc.stderr.splitlines()[-1]
+        assert "'scipy.optimize'" in loaded
+        assert "'scipy.integrate'" not in loaded
 
     def test_identical_runs_identical_bytes(self, child_env):
         argv = [

@@ -6,7 +6,6 @@ import pytest
 
 from anovabf.bayes_factors import log_bf_fb_one_way
 from anovabf.errors import ConvergenceError, DomainError
-from anovabf.numerics import integrate
 from anovabf.prior import (
     BetaPrimePrior,
     beta_prime_log_density,
@@ -17,16 +16,6 @@ from anovabf.sums_of_squares import OneWaySS
 
 TWO_OVER_PI = 0.63661977236758134307553505349
 QUAD_HALF_RATIO = 0.900316316157106069555199191007
-
-
-def prior_mass(prior):
-    """Total mass of the prior via the map t = g/(1+g) onto (0, 1)."""
-
-    def integrand(t):
-        g = t / (1.0 - t)
-        return math.exp(beta_prime_log_density(prior, g) - 2.0 * math.log1p(-t))
-
-    return integrate(integrand, 0.0, 1.0)
 
 
 class TestBetaPrimePrior:
@@ -72,7 +61,7 @@ class TestLogDensity:
 
     @pytest.mark.parametrize("a", [-0.5, 0.0, 1.0, 3.0])
     @pytest.mark.parametrize("b", [-0.5, 0.0, 1.0, 3.0])
-    def test_density_integrates_to_one(self, a, b):
+    def test_density_integrates_to_one(self, a, b, prior_mass):
         mass = prior_mass(BetaPrimePrior(a=a, b=b))
         np.testing.assert_allclose(mass, 1.0, rtol=1e-9)
 

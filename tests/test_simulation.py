@@ -323,7 +323,9 @@ class TestFrequencyExperiment:
 
         monkeypatch.setattr(simulation, "_CHUNK_VALUES", chunk_values)
         monkeypatch.setattr(simulation, "draw_noise", flat_replication_13)
-        with pytest.raises(DegenerateDataError, match=r"replication 13 at \(p=3, r=2, seed=11\)"):
+        with pytest.raises(
+            DegenerateDataError, match=r"replication 13 at \(p=3, r=2, seed=11\) .* \(c_a=1\.0\)"
+        ):
             run_frequency_experiment(self.small_cfg(p_list=(3,)))
 
     @pytest.mark.parametrize(
@@ -365,5 +367,7 @@ class TestFrequencyExperiment:
 
     def test_overflowing_effect_names_replication(self):
         cfg = self.small_cfg(p_list=(3,), ca_list=(1e308,))
-        with pytest.raises(DomainError, match=r"replication 0 at \(p=3, r=2, seed=11\).*not finite"):
+        with pytest.raises(
+            DomainError, match=r"replication 0 at \(p=3, r=2, seed=11\).*not finite \(c_a=1e\+308\)"
+        ):
             run_frequency_experiment(cfg)
