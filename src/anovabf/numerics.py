@@ -67,7 +67,8 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], edges) -> float:
     one call of f. The integral is done when the error estimates add up to
     the tolerance; until then, each piece whose estimate is above its
     width's share of it is bisected. Needing more than _MAX_SUBDIVISIONS
-    pieces raises :class:`ConvergenceError` carrying the estimate.
+    pieces, or accepted pieces whose errors miss the final tolerance, raises
+    :class:`ConvergenceError` carrying the estimate.
     """
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1], edges[1:]
@@ -75,7 +76,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], edges) -> float:
     if not (math.isfinite(width) and (hi > lo).all()):
         raise DomainError(f"integration needs increasing finite breakpoints, got {edges}")
     pieces, done, done_error = lo.size, 0.0, 0.0
-    while True:
+    while lo.size:
         centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         values = f(centre + _NODES * half)
         # dqk21's sums: np.add.accumulate adds in its order, where sum would pair terms up
@@ -103,3 +104,4 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], edges) -> float:
             message = f"quadrature did not converge within {_MAX_SUBDIVISIONS} pieces"
             raise ConvergenceError(message, estimate=estimate)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    raise ConvergenceError("quadrature accepted pieces its final tolerance rejects", estimate=estimate)

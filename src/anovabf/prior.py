@@ -66,6 +66,15 @@ def beta_prime_log_density(prior: BetaPrimePrior, g: float | np.ndarray) -> floa
     return prior.b * np.log(g) - (prior.a + prior.b + 2.0) * np.log1p(g) - log_norm
 
 
+def _check_bf_args(n: int, p_alt: int, ratio: float) -> None:
+    if p_alt < 2:
+        raise DomainError(f"alternative needs at least 2 mean parameters, got {p_alt}")
+    if n <= p_alt:
+        raise DomainError(f"need n > p_alt, got n={n}, p_alt={p_alt}")
+    if not (0.0 < ratio <= 1.0):
+        raise DomainError(f"sums-of-squares ratio must be in (0, 1], got {ratio}")
+
+
 def _softplus(u: float) -> float:
     """log(1 + e**u) without overflow."""
     return max(u, 0.0) + math.log1p(math.exp(-abs(u)))
@@ -83,10 +92,9 @@ def _softplus_step(v: float, x: np.ndarray) -> np.ndarray:
     v > 0 it is the mirror x + step(-v, -x)."""
     if v > 0.0:
         return x + _softplus_step(-v, -x)
-    if x.max() <= 700.0:
-        return np.log1p(_sigmoid(v) * np.expm1(x))
-    near = np.log1p(_sigmoid(v) * np.expm1(np.minimum(x, 700.0)))
-    return np.where(x > 700.0, np.logaddexp(0.0, v + x) - _softplus(v), near)
+    step = np.log1p(_sigmoid(v) * np.expm1(np.minimum(x, 700.0)))
+    step[x > 700.0] = np.logaddexp(0.0, v + x[x > 700.0]) - _softplus(v)
+    return step
 
 
 def log_bf_quadrature(n: int, p_alt: int, ratio: float, prior: BetaPrimePrior) -> float:
@@ -104,12 +112,7 @@ def log_bf_quadrature(n: int, p_alt: int, ratio: float, prior: BetaPrimePrior) -
     # the package, and only the quadrature oracle needs it
     from scipy.optimize import brentq
 
-    if p_alt < 2:
-        raise DomainError(f"alternative needs at least 2 mean parameters, got {p_alt}")
-    if n <= p_alt:
-        raise DomainError(f"need n > p_alt, got n={n}, p_alt={p_alt}")
-    if not (0.0 < ratio <= 1.0):
-        raise DomainError(f"sums-of-squares ratio must be in (0, 1], got {ratio}")
+    _check_bf_args(n, p_alt, ratio)
     alpha = (n - p_alt) / 2.0 - prior.a - prior.b - 2.0
     beta, k, log_ratio = (n - 1) / 2.0, prior.b + 1.0, math.log(ratio)
 
@@ -133,18 +136,14 @@ def log_bf_quadrature(n: int, p_alt: int, ratio: float, prior: BetaPrimePrior) -
         return alpha * _softplus_step(m, x) - beta * _softplus_step(m + log_ratio, x) + k * x
 
     # the segments start at the peak's width, capped at 1 so that a long flat
-    # stretch next to a sharp mode is still resolved; the first 8 doublings,
-    # enough as a rule, keep the step below x = 700
+    # stretch next to a sharp mode is still resolved
     curvature = beta * _sigmoid(m + log_ratio) * _sigmoid(-m - log_ratio)
     curvature -= alpha * _sigmoid(m) * _sigmoid(-m)
+    reach = max(curvature, 1.0) ** -0.5 * _DOUBLINGS
     try:
         with np.errstate(over="raise"):
-            for count in (8, len(_DOUBLINGS)):
-                reach = max(curvature, 1.0) ** -0.5 * _DOUBLINGS[:count]
-                ends = shifted(np.concatenate([reach, -reach])).reshape(2, count) <= -_TAIL_DROP
-                if ends.all(axis=0).any():
-                    break
-            else:
+            ends = (shifted(np.concatenate([reach, -reach])) <= -_TAIL_DROP).reshape(2, -1)
+            if not ends.all(axis=0).any():
                 raise ConvergenceError("no doubling reaches the tails", math.nan)
             reach = reach[: ends.all(axis=0).argmax() + 1]
             mass = integrate(lambda x: np.exp(shifted(x)), np.concatenate([-reach[::-1], reach]))

@@ -129,6 +129,21 @@ class TestIntegrate:
             integrate(lambda t: 1.0 / t, [0.0, 1.0])
         assert isinstance(excinfo.value.estimate, float)
 
+    def test_overshooting_first_estimate_ends(self):
+        # a spike on the centre node of [1, 2] makes the first estimate 7.5e18,
+        # so [0, 1] is accepted at a tolerance its error misses once bisection
+        # steps past the spike; every piece is then accepted
+        rounds = []
+
+        def f(t):
+            rounds.append(t.size)
+            assert len(rounds) < 100, "integrate keeps calling f"
+            return np.sqrt(t + 0.01) + np.where(t == 1.5, 1e20, 0.0)
+
+        with pytest.raises(ConvergenceError) as excinfo:
+            integrate(f, [0.0, 1.0, 2.0])
+        assert isinstance(excinfo.value.estimate, float)
+
     @pytest.mark.parametrize("edges", [[1.0], [0.0, 0.0], [1.0, 0.0], [0.0, math.inf]])
     def test_rejects_breakpoints_that_do_not_increase(self, edges):
         with pytest.raises(DomainError):
