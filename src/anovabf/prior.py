@@ -4,7 +4,8 @@ The numerical route the closed forms are checked against: the Bayes
 factor as an explicit mixture over the prior scale g, integrated in log
 space over u = log g by the batched rule of :func:`numerics.integrate`,
 so factors far beyond a double's range are checked too, on and off the
-closed-form manifold (the hyper-g case is b = 0).
+closed-form manifold (the hyper-g case is b = 0). The integrand's mode
+is in closed form, so no root search is involved.
 """
 
 from __future__ import annotations
@@ -97,39 +98,36 @@ def _softplus_step(v: float, x: np.ndarray) -> np.ndarray:
     return step
 
 
+def _log_mode(alpha: float, beta: float, k: float, c: float, ratio: float) -> float:
+    """log of the positive root s of -c*ratio*s**2 + B*s + k, B = alpha - beta*ratio
+    + k*(1+ratio), without cancellation and without forming s; hypot keeps the
+    discriminant from underflowing at tiny ratios. Not finite when B or c*k overflows."""
+    b_coef = alpha - beta * ratio + k * (1.0 + ratio)
+    root_d = math.hypot(b_coef, 2.0 * math.sqrt(c * k) * math.sqrt(ratio))
+    if b_coef > 0.0:
+        return math.log(b_coef + root_d) - math.log(2.0 * c) - math.log(ratio)
+    return math.log(2.0 * k) - math.log(root_d - b_coef)
+
+
 def log_bf_quadrature(n: int, p_alt: int, ratio: float, prior: BetaPrimePrior) -> float:
     """log Bayes factor by numerical integration over u = log g.
 
     The log integrand is alpha*softplus(u) - beta*softplus(u + log ratio)
     + (b+1)*u - log B(a+1, b+1), with alpha = (n-p_alt)/2 - a - b - 2 and
-    beta = (n-1)/2. Its slope goes from b+1 > 0 at -inf to
-    -(p_alt-1)/2 - a - 1 < 0 at +inf, so it has a mode m. The integrand,
+    beta = (n-1)/2. Its slope goes from k = b+1 > 0 at -inf to
+    -c = -(p_alt-1)/2 - a - 1 < 0 at +inf, so it has one mode m, the log of
+    a quadratic's positive root in e**u (:func:`_log_mode`). The integrand,
     relative to its value at m, is integrated over segments that double
     in length away from m until it is _TAIL_DROP below the peak; the log
     of that integral is added back to the peak.
     """
-    # imported here: scipy.optimize costs more start-up than the rest of
-    # the package, and only the quadrature oracle needs it
-    from scipy.optimize import brentq
-
     _check_bf_args(n, p_alt, ratio)
     alpha = (n - p_alt) / 2.0 - prior.a - prior.b - 2.0
     beta, k, log_ratio = (n - 1) / 2.0, prior.b + 1.0, math.log(ratio)
-
-    def slope(u: float) -> float:
-        return alpha * _sigmoid(u) - beta * _sigmoid(u + log_ratio) + k
-
-    lo, hi = -1.0, 1.0
-    while slope(lo) <= 0.0:
-        lo *= 2.0
-    while slope(hi) >= 0.0:
-        hi *= 2.0
     name = f"beta-prime prior a={prior.a}, b={prior.b}"
-    if math.isinf(lo) or math.isinf(hi):
-        # past about b = 1e16 the slope's negative limit alpha - beta + k
-        # rounds to 0, and the doubling runs to infinity
-        raise ConvergenceError(f"cannot bracket the integrand's mode under the {name}", math.nan)
-    m = brentq(slope, lo, hi)
+    m = _log_mode(alpha, beta, k, (p_alt - 1) / 2.0 + prior.a + 1.0, ratio)
+    if not math.isfinite(m):
+        raise ConvergenceError(f"cannot locate the integrand's mode under the {name}", math.nan)
     peak = alpha * _softplus(m) - beta * _softplus(m + log_ratio) + k * m
 
     def shifted(x: np.ndarray) -> np.ndarray:

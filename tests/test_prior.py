@@ -8,6 +8,7 @@ from anovabf.bayes_factors import log_bf_fb_one_way
 from anovabf.errors import ConvergenceError, DomainError
 from anovabf.prior import (
     BetaPrimePrior,
+    _log_mode,
     beta_prime_log_density,
     bf_quadrature,
     log_bf_quadrature,
@@ -156,6 +157,64 @@ class TestLogQuadrature:
 
     @pytest.mark.parametrize("b", [1e20, 1e300])
     def test_huge_b_names_the_prior(self, b):
-        # the slope's terms cancel in floating point, so the mode has no bracket
+        # the log integrand's terms, of size b, cancel in floating point, so
+        # the integrand is noise: it overflows at 1e300, never converges at 1e20
         with pytest.raises(ConvergenceError, match=re.escape(f"prior a=-0.5, b={b}")):
             log_bf_quadrature(6, 3, 0.5, BetaPrimePrior(a=-0.5, b=b))
+
+
+def log_mode_reference(n, p_alt, ratio, prior):
+    """Root in u of the log integrand's slope, bisected by mpmath at 50 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        a, b, t = mp.mpf(prior.a), mp.mpf(prior.b), mp.mpf(ratio)
+        alpha, beta, k = mp.mpf(n - p_alt) / 2 - a - b - 2, mp.mpf(n - 1) / 2, b + 1
+
+        def slope(u):
+            # alpha*sigmoid(u) + k regrouped, so that the terms near 1 do
+            # not cancel far out in u
+            grow = (alpha + k) / (1 + mp.exp(-u)) + k / (1 + mp.exp(u))
+            return grow - beta / (1 + mp.exp(-u) / t)
+
+        lo, hi = mp.mpf(-1), mp.mpf(1)
+        while slope(lo) <= 0:
+            lo *= 2
+        while slope(hi) >= 0:
+            hi *= 2
+        while hi - lo > 1e-20 * max(1, abs(hi)):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+        return float(lo)
+
+
+def log_mode(n, p_alt, ratio, prior):
+    """The quadrature's mode, from the coefficients it passes to _log_mode."""
+    alpha = (n - p_alt) / 2.0 - prior.a - prior.b - 2.0
+    c = (p_alt - 1) / 2.0 + prior.a + 1.0
+    return _log_mode(alpha, (n - 1) / 2.0, prior.b + 1.0, c, ratio)
+
+
+class TestLogMode:
+    @pytest.mark.parametrize("ratio", [1e-300, 1e-100, 1e-10, 0.01, 0.5, 0.99999, 1.0])
+    @pytest.mark.parametrize("r", [2, 70, 5000, 50000])
+    @pytest.mark.parametrize("p_alt", [2, 14, 200, 2000])
+    @pytest.mark.parametrize("prior", ["closure", "hyper-g", "off-closure"])
+    def test_matches_the_slope_root(self, prior, p_alt, r, ratio):
+        n = p_alt * r
+        prior = {
+            "closure": BetaPrimePrior.for_closed_form(n, p_alt),
+            "hyper-g": BetaPrimePrior.hyper_g(-0.5),
+            "off-closure": BetaPrimePrior(a=0.0, b=0.0),
+        }[prior]
+        m = log_mode(n, p_alt, ratio, prior)
+        want = log_mode_reference(n, p_alt, ratio, prior)
+        # relative, but absolute for a mode within 1 of u = 0 (some are at 0)
+        assert abs(m - want) <= 1e-11 * max(1.0, abs(want))
+
+    def test_discriminant_below_the_smallest_double(self):
+        # B rounds to 0 and 4*c*k*ratio to 0, so a plain square root of the
+        # discriminant gives no root; the slope's root is near u = 355
+        prior = BetaPrimePrior(a=0.0, b=-0.9999999999999989)
+        m = log_mode(4, 2, 5e-324, prior)
+        want = log_mode_reference(4, 2, 5e-324, prior)
+        assert abs(m - want) <= 1e-11 * abs(want)
