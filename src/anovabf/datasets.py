@@ -5,7 +5,10 @@ replicate), so downstream sums of squares are plain axis reductions.
 Both layouts are read column by column: text with no quote, CR or NUL,
 a matching header and exactly ``width - 1`` commas on every line is cut
 into blocks of about 1 MiB, each block is split once, and each column is
-a stride of its fields. Any other text (quoting, CRLF, blank lines, a
+a stride of its fields. Large plain text is cut at newlines into ranges
+of at least 4 MiB, one per CPU at most, which forked processes code in
+parallel; the ranges are merged in file order, so the levels and array
+are those of one range. Any other text (quoting, CRLF, blank lines, a
 bad field count or value) is read row by row by ``csv.reader``, whose
 errors name the line. Both passes code labels the same way and share one
 balance check, so both give the same levels and array. Level labels are
@@ -19,12 +22,14 @@ from __future__ import annotations
 
 import csv
 import io
+import marshal
 import math
+import os
+import warnings
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -38,6 +43,16 @@ TWO_WAY_HEADER = ("a", "b", "value")
 # this text in memory.
 _BLOCK_CHARS = 1 << 20
 _BLOCK_ROWS = 1 << 15
+# Fewest characters of CSV text given to one process of the columnar pass:
+# a fork and the transfer of a range's result cost a few milliseconds.
+_FORK_CHARS = 1 << 22
+_SIGKILL = 9  # signal.SIGKILL on every POSIX system; the signal module is not otherwise loaded
+# From Python 3.12, os.fork in a process with more than one thread (numpy's
+# BLAS pool, say) warns that the child may deadlock on a lock another thread
+# held. A child of the columnar pass runs only str, array and numpy code,
+# calls no BLAS, takes no lock that another thread may hold, and leaves by
+# os._exit, so the warning does not apply to it.
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
 
 
 def _freeze(dataset, label_fields: tuple[str, ...]) -> None:
@@ -148,6 +163,24 @@ class _Columns:
                     written[label] = level.setdefault(label.strip(), len(level))
             codes.extend(map(written.__getitem__, column))
 
+    def wire(self) -> tuple[list[list[str]], list[bytes], bytes]:
+        """Each factor's levels in order, the codes and the values: what
+        ``merge`` takes, in a form ``marshal`` can send."""
+        levels = [list(level) for level in self.levels]
+        return levels, [codes.tobytes() for codes in self.codes], self.values.tobytes()
+
+    def merge(self, levels: list[list[str]], codes: list[bytes], values: bytes) -> None:
+        """Append the rows of another ``_Columns`` given in ``wire`` form.
+
+        Its labels take this one's codes, or the next free codes in its
+        order of first appearance, so the merge codes as if its rows had
+        been added here.
+        """
+        self.values.frombytes(values)
+        for level, own, labels, coded in zip(self.levels, self.codes, levels, codes):
+            remap = np.array([level.setdefault(label, len(level)) for label in labels], dtype=np.int64)
+            own.frombytes(remap[np.frombuffer(coded, dtype=np.int64)].tobytes())
+
     def balanced(self) -> tuple[list, np.ndarray]:
         """Each factor's levels and the dense ``(levels..., replicates)`` array."""
         n = len(self.values)
@@ -186,31 +219,33 @@ def _balance_error(levels: list[tuple[str, ...]], sizes: tuple[int, ...], cell) 
     )
 
 
-def _read_blocks(text: str, header: tuple[str, ...]) -> _Columns | None:
-    """Columnar pass over text that needs no CSV quoting rules.
+def _cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot tell."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
 
-    Takes about ``_BLOCK_CHARS`` of text at a time, cut at a newline:
-    splits the block once and takes each column as a stride of the
-    fields. Returns None, leaving the text to the row-by-row pass, on a
-    quote, CR or NUL, a header that does not match, a line without
-    exactly ``width - 1`` commas, a line longer than the csv field size
+
+def _code_range(text: str, start: int, stop: int, width: int) -> _Columns | None:
+    """Code the lines of ``text[start:stop]``, about ``_BLOCK_CHARS`` at a time.
+
+    Each block, cut at a newline, is split once and each column taken as
+    a stride of the fields. Returns None on a line without exactly
+    ``width - 1`` commas, a line of more bytes than the csv field size
     limit, or a value that is not a finite number.
     """
-    if '"' in text or "\r" in text or "\0" in text:
-        return None
-    width = len(header)
-    start = text.find("\n") + 1 or len(text)
-    if tuple(h.strip().lower() for h in text[:start].rstrip("\n").split(",")) != header:
-        return None
-    stop = len(text) - text.endswith("\n")
-    commas, limit = {width - 1}, csv.field_size_limit()
+    limit = csv.field_size_limit()
+    separators = np.array([ord(",")] * (width - 1) + [ord("\n")], dtype=np.uint8)
     columns = _Columns(width - 1)
     while start < stop:
         end = text.find("\n", min(start + _BLOCK_CHARS, stop), stop)
         end = stop if end < 0 else end
         block = text[start:end]
-        lines = block.split("\n")
-        if set(map(str.count, lines, repeat(","))) != commas or max(map(len, lines)) > limit:
+        # no byte of a multi-byte UTF-8 sequence is a comma or a newline
+        raw = np.frombuffer((block + "\n").encode("utf-8", "surrogatepass"), dtype=np.uint8)
+        at = np.flatnonzero((raw == separators[0]) | (raw == separators[-1]))
+        if len(at) % width or not (raw[at].reshape(-1, width) == separators).all():
+            return None
+        if np.diff(at[width - 1 :: width], prepend=-1).max() > limit + 1:
             return None
         fields = block.replace("\n", ",").split(",")
         try:
@@ -219,6 +254,94 @@ def _read_blocks(text: str, header: tuple[str, ...]) -> _Columns | None:
             return None
         start = end + 1
     return columns if np.isfinite(columns.values).all() else None
+
+
+def _fork_range(text: str, start: int, stop: int, width: int) -> tuple[int, io.BufferedReader] | None:
+    """Start a child that codes ``text[start:stop]`` and sends the ``wire``
+    form of the result, or None, down a pipe.
+
+    Returns the child's pid and the pipe's read end, or None when no
+    child could be started.
+    """
+    read, write = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            columns = _code_range(text, start, stop, width)
+            with open(write, "wb") as pipe:
+                marshal.dump(columns and columns.wire(), pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _received(child: tuple[int, io.BufferedReader] | None, text: str, start: int, stop: int, width: int):
+    """The ``wire`` form of the coding of ``text[start:stop]``, or None, from
+    ``child``; coded here if no child was started or it sent no whole result."""
+    if child is not None:
+        with child[1] as pipe:
+            data = pipe.read()
+        try:
+            return marshal.loads(data)
+        except EOFError:  # the child ended before it had sent its result
+            pass
+    columns = _code_range(text, start, stop, width)
+    return columns and columns.wire()
+
+
+def _read_blocks(text: str, header: tuple[str, ...]) -> _Columns | None:
+    """Columnar pass over text that needs no CSV quoting rules.
+
+    Cuts the rows at newlines into one range per CPU, each of at least
+    ``_FORK_CHARS``, or a single range. Forked children code all ranges
+    but the first, which this process codes; the ranges' results are then
+    merged in file order. Returns None, leaving the text to the row-by-row
+    pass, on a quote, CR or NUL, a header that does not match, or a range
+    that ``_code_range`` refuses.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    width = len(header)
+    start = text.find("\n") + 1 or len(text)
+    if tuple(h.strip().lower() for h in text[:start].rstrip("\n").split(",")) != header:
+        return None
+    stop = len(text) - text.endswith("\n")
+    k = max(1, min(_cpus(), (stop - start) // _FORK_CHARS))
+    starts = [start]
+    for i in range(1, k):
+        end = text.find("\n", max(starts[-1], start + (stop - start) * i // k), stop)
+        starts.append(stop + 1 if end < 0 else end + 1)
+    ranges = list(zip(starts, [later - 1 for later in starts[1:]] + [stop]))
+    children = []
+    try:
+        for range_start, range_stop in ranges[1:]:
+            children.append(_fork_range(text, range_start, range_stop, width))
+        columns = _code_range(text, *ranges[0], width)
+        for (range_start, range_stop), child in zip(ranges[1:], children):
+            part = columns and _received(child, text, range_start, range_stop, width)
+            if part is None:
+                return None
+            columns.merge(*part)
+        return columns
+    finally:
+        # a child whose result was read is ending; the kill stops one whose
+        # result is not needed, as the text goes to the row-by-row pass
+        for child in filter(None, children):
+            pid, pipe = child
+            pipe.close()
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _read_rows(text: str, header: tuple[str, ...]) -> _Columns:

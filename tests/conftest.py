@@ -23,6 +23,33 @@ def child_env():
 
 
 @pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children that ``os.fork`` starts during the test."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+@pytest.fixture
+def no_children():
+    """A check that this process has no child left, running or unreaped."""
+
+    def check():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    return check
+
+
+@pytest.fixture
 def prior_mass():
     """Total mass of a beta-prime prior, integrated over u = log g.
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from anovabf import datasets
 from anovabf.cli import run
 from anovabf.datasets import ONE_WAY_HEADER, TWO_WAY_HEADER, write_csv
 
@@ -491,6 +492,63 @@ class TestGoldenOutputs:
         out = tmp_path / "primary.out"
         assert run(argv + ["--out", str(out)]) == 0
         assert out.read_bytes() == self.stdout_bytes(capsys, argv)
+
+
+class TestLargeInput:
+    """``bf`` on files of more than two ``_FORK_CHARS``, which the columnar
+    pass cuts into a range per CPU for forked processes to code."""
+
+    @pytest.fixture(scope="class", params=["one-way", "two-way"])
+    def large(self, request, tmp_path_factory):
+        """The layout and the path of a balanced file of rows of 30 characters or more:
+        one-way grouped by level, so that later levels first appear in a
+        later range, and two-way interleaved across cells."""
+        layout = request.param
+        if layout == "one-way":
+            header, cells = ONE_WAY_HEADER, [(f"group-{i:02d}-of-the-large-file",) for i in range(50)]
+        else:
+            header = TWO_WAY_HEADER
+            cells = [(f"row-level-{i:02d}", f"column-level-{j}") for i in range(25) for j in range(4)]
+        r = 2 * datasets._FORK_CHARS // (30 * len(cells)) + 1
+        values = np.random.default_rng(7).normal(size=(len(cells), r)) + np.arange(len(cells))[:, None] % 3
+        if layout == "one-way":
+            rows = [(*cell, f"{v:.4f}") for cell, row in zip(cells, values) for v in row]
+        else:
+            rows = [(*cell, f"{v:.4f}") for column in values.T for cell, v in zip(cells, column)]
+        text = write_csv(header, rows)
+        assert len(text) > 2 * datasets._FORK_CHARS
+        path = tmp_path_factory.mktemp("large") / f"{layout}.csv"
+        path.write_text(text)
+        return layout, str(path)
+
+    def stdout(self, capsys, argv):
+        assert run(argv) == 0
+        return capsys.readouterr().out
+
+    def test_same_stdout_with_and_without_forks(self, large, forks, no_children, monkeypatch, capsys):
+        layout, path = large
+        argv = ["bf", layout, "--input", path]
+        monkeypatch.setattr(datasets, "_cpus", lambda: 2)
+        forked = self.stdout(capsys, argv)
+        assert len(forks) == 1
+        no_children()
+        monkeypatch.setattr(datasets, "_cpus", lambda: 1)
+        assert self.stdout(capsys, argv) == forked
+        assert len(forks) == 1
+
+    def test_no_warning_under_w_always(self, large, child_env, capsys):
+        # numpy's BLAS threads make os.fork warn from Python 3.12 on
+        layout, path = large
+        argv = ["bf", layout, "--input", path]
+        proc = subprocess.run(
+            [sys.executable, "-W", "always", "-m", "anovabf", *argv],
+            capture_output=True,
+            text=True,
+            env=child_env,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout == self.stdout(capsys, argv)
 
 
 class TestInstalledEntryPoints:

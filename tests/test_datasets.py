@@ -1,3 +1,5 @@
+import csv
+import os
 from itertools import product
 
 import numpy as np
@@ -349,6 +351,143 @@ class TestColumnarAgreesWithRowReader:
             "'a1,b1' has 4, 'a1,b2' has 2, 'a1,b3' has 2, 'a2,b3' has 5",
         )
         assert outcome(parse_two_way, REGULAR["header-only"]) == ("ParseError", "no data rows")
+
+
+# 3x2 cells, r = 4, in rows of 10 characters, so that ranges of equal
+# characters are ranges of equal rows: a2, a1 and b1 come first, b2 from
+# row 8 and a3 from row 14, and the last two rows repeat earlier cells
+RANGED_CELLS = (
+    [("a2", "b1"), ("a1", "b1")] * 4
+    + [("a1", "b2"), ("a2", "b2")] * 3
+    + [("a3", "b2"), ("a3", "b1")] * 4
+    + [("a1", "b2"), ("a2", "b2")]
+)
+RANGED_ROWS = [f"{a},{b},{i:02d}.5" for i, (a, b) in enumerate(RANGED_CELLS)]
+
+# text cut into ranges, with what sets them apart in a later range; the
+# field size limit is 40 while they are read
+RANGED = {
+    "late-labels": two_way_text(RANGED_ROWS),
+    # " a2 " in the first range and "a2" in the others are one level
+    "padded-then-plain": two_way_text(
+        [f" {row.replace(',', ' ,', 1)}" if i < 8 else row for i, row in enumerate(RANGED_ROWS)]
+    ),
+    # a surrogate escape stands for a byte that is not UTF-8
+    "non-ascii": two_way_text(
+        row.replace("a2", "\u65e5\u672c").replace("a1", "\u03b11").replace("a3", "\udc80x")
+        .replace("b1", "b\u00e9")
+        for row in RANGED_ROWS
+    ),
+    "short-cell-across-ranges": two_way_text(RANGED_ROWS[:-1]),
+    "late-bad-value": two_way_text(RANGED_ROWS[:-2] + ["a1,b2,oops", RANGED_ROWS[-1]]),
+    "late-comma-count": two_way_text(RANGED_ROWS[:-1] + [RANGED_ROWS[-1] + ",9"]),
+    "late-long-line": two_way_text(RANGED_ROWS[:-2] + ["a1" + " " * 40 + ",b2,22.5", RANGED_ROWS[-1]]),
+}
+
+
+def refuse_rows(text, header):
+    raise AssertionError("fell back to the row reader")
+
+
+class TestRangesAgreeWithOneRange:
+    """The columnar pass cut into 2 or 3 ranges, all but the first coded by
+    forked children, against the same text in one range."""
+
+    @pytest.fixture(params=[2, 3], ids=lambda k: f"ranges-{k}")
+    def ranges(self, request, monkeypatch):
+        monkeypatch.setattr(datasets, "_FORK_CHARS", 1)
+        monkeypatch.setattr(datasets, "_cpus", lambda: request.param)
+        limit = csv.field_size_limit(40)
+        yield request.param
+        csv.field_size_limit(limit)
+
+    @pytest.mark.parametrize("case", sorted(RANGED))
+    def test_same_levels_array_and_errors(self, case, ranges, forks, no_children, monkeypatch):
+        ranged = outcome(parse_two_way, RANGED[case])
+        assert len(forks) == ranges - 1
+        no_children()
+        monkeypatch.setattr(datasets, "_cpus", lambda: 1)
+        assert outcome(parse_two_way, RANGED[case]) == ranged
+        assert len(forks) == ranges - 1
+        no_children()
+
+    @pytest.mark.parametrize(
+        "case", ["late-labels", "padded-then-plain", "non-ascii", "short-cell-across-ranges"]
+    )
+    def test_plain_text_stays_columnar(self, case, ranges, monkeypatch):
+        monkeypatch.setattr(datasets, "_read_rows", refuse_rows)
+        outcome(parse_two_way, RANGED[case])
+
+    def test_expected_results(self, ranges):
+        first = outcome(parse_two_way, RANGED["late-labels"])
+        assert first[0] == (("a2", "a1", "a3"), ("b1", "b2"))
+        assert outcome(parse_two_way, RANGED["padded-then-plain"]) == first
+        levels, array = outcome(parse_two_way, RANGED["non-ascii"])
+        assert levels == (("\u65e5\u672c", "\u03b11", "\udc80x"), ("b\u00e9", "b2"))
+        assert array == first[1]
+        assert outcome(parse_two_way, RANGED["short-cell-across-ranges"]) == (
+            "BalanceError",
+            "unbalanced design: 1 of 6 cells lack the common replicate count 4: 'a2,b2' has 3",
+        )
+        assert outcome(parse_two_way, RANGED["late-bad-value"]) == (
+            "ParseError",
+            "line 24: expected a finite number, got 'oops'",
+        )
+        assert outcome(parse_two_way, RANGED["late-comma-count"]) == (
+            "ParseError",
+            "line 25: expected 3 fields, got 4",
+        )
+        assert outcome(parse_two_way, RANGED["late-long-line"]) == (
+            "ParseError",
+            "line 24: field larger than field limit (40)",
+        )
+
+    def test_one_way_layout(self, ranges, no_children):
+        text = "level,value\n" + "".join(f" L{i % 3} ,{i * 0.75}\n" for i in range(12))
+        d = parse_one_way(text)
+        no_children()
+        assert d.levels == ("L0", "L1", "L2")
+        assert d.values.tolist() == [[0.0, 2.25, 4.5, 6.75], [0.75, 3.0, 5.25, 7.5], [1.5, 3.75, 6.0, 8.25]]
+
+    def test_children_reaped_when_this_range_raises(self, ranges, forks, no_children, monkeypatch):
+        parent, code_range = os.getpid(), datasets._code_range
+
+        def interrupted(text, start, stop, width):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return code_range(text, start, stop, width)
+
+        monkeypatch.setattr(datasets, "_code_range", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            parse_two_way(RANGED["late-labels"])
+        assert len(forks) == ranges - 1
+        no_children()
+
+    def test_range_of_a_child_that_dies_is_coded_here(self, ranges, forks, no_children, monkeypatch):
+        expected = outcome(parse_two_way, RANGED["late-labels"])
+        parent, code_range = os.getpid(), datasets._code_range
+
+        def dies(text, start, stop, width):
+            if os.getpid() != parent:
+                os._exit(1)
+            return code_range(text, start, stop, width)
+
+        monkeypatch.setattr(datasets, "_code_range", dies)
+        monkeypatch.setattr(datasets, "_read_rows", refuse_rows)
+        assert outcome(parse_two_way, RANGED["late-labels"]) == expected
+        assert len(forks) == 2 * (ranges - 1)
+        no_children()
+
+    def test_ranges_coded_here_when_fork_fails(self, ranges, no_children, monkeypatch):
+        expected = outcome(parse_two_way, RANGED["late-labels"])
+
+        def fails():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fails)
+        monkeypatch.setattr(datasets, "_read_rows", refuse_rows)
+        assert outcome(parse_two_way, RANGED["late-labels"]) == expected
+        no_children()
 
 
 class TestDatasetInvariants:
