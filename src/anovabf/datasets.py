@@ -22,10 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
-import marshal
 import math
-import os
-import warnings
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Sequence
@@ -33,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import cpus as _cpus
+from ._parallel import map_parts
 from .errors import BalanceError, DegenerateDesignError, DomainError, ParseError
 
 ONE_WAY_HEADER = ("level", "value")
@@ -46,13 +45,6 @@ _BLOCK_ROWS = 1 << 15
 # Fewest characters of CSV text given to one process of the columnar pass:
 # a fork and the transfer of a range's result cost a few milliseconds.
 _FORK_CHARS = 1 << 22
-_SIGKILL = 9  # signal.SIGKILL on every POSIX system; the signal module is not otherwise loaded
-# From Python 3.12, os.fork in a process with more than one thread (numpy's
-# BLAS pool, say) warns that the child may deadlock on a lock another thread
-# held. A child of the columnar pass runs only str, array and numpy code,
-# calls no BLAS, takes no lock that another thread may hold, and leaves by
-# os._exit, so the warning does not apply to it.
-_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
 
 
 def _freeze(dataset, label_fields: tuple[str, ...]) -> None:
@@ -194,8 +186,14 @@ class _Columns:
         counts = np.bincount(cell, minlength=cells) if cells <= n else None
         if counts is None or counts.min() != counts.max():
             raise _balance_error(levels, sizes, cell)
-        values = np.frombuffer(self.values)[np.argsort(cell, kind="stable")]
-        return levels, values.reshape(*sizes, n // cells)
+        # rows grouped by cell, in row order within a cell: a stable sort by
+        # cell, as least-significant-digit passes over 16-bit digits, each a
+        # stable argsort of uint16, which numpy does by radix sort in linear time
+        order = np.argsort((cell & 0xFFFF).astype(np.uint16), kind="stable")
+        for shift in range(16, (cells - 1).bit_length(), 16):
+            digit = (cell[order] >> shift & 0xFFFF).astype(np.uint16)
+            order = order[np.argsort(digit, kind="stable")]
+        return levels, np.frombuffer(self.values)[order].reshape(*sizes, n // cells)
 
 
 def _balance_error(levels: list[tuple[str, ...]], sizes: tuple[int, ...], cell) -> BalanceError:
@@ -217,12 +215,6 @@ def _balance_error(levels: list[tuple[str, ...]], sizes: tuple[int, ...], cell) 
         f"unbalanced design: {bad} of {grid} cells lack the common "
         f"replicate count {r}: {', '.join(shown)}{', ...' if bad > 5 else ''}"
     )
-
-
-def _cpus() -> int:
-    """CPUs this process may run on; 1 where the platform cannot tell."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else 1
 
 
 def _code_range(text: str, start: int, stop: int, width: int) -> _Columns | None:
@@ -256,46 +248,8 @@ def _code_range(text: str, start: int, stop: int, width: int) -> _Columns | None
     return columns if np.isfinite(columns.values).all() else None
 
 
-def _fork_range(text: str, start: int, stop: int, width: int) -> tuple[int, io.BufferedReader] | None:
-    """Start a child that codes ``text[start:stop]`` and sends the ``wire``
-    form of the result, or None, down a pipe.
-
-    Returns the child's pid and the pipe's read end, or None when no
-    child could be started.
-    """
-    read, write = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            columns = _code_range(text, start, stop, width)
-            with open(write, "wb") as pipe:
-                marshal.dump(columns and columns.wire(), pipe)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return pid, open(read, "rb")
-
-
-def _received(child: tuple[int, io.BufferedReader] | None, text: str, start: int, stop: int, width: int):
-    """The ``wire`` form of the coding of ``text[start:stop]``, or None, from
-    ``child``; coded here if no child was started or it sent no whole result."""
-    if child is not None:
-        with child[1] as pipe:
-            data = pipe.read()
-        try:
-            return marshal.loads(data)
-        except EOFError:  # the child ended before it had sent its result
-            pass
+def _coded(text: str, start: int, stop: int, width: int):
+    """The ``wire`` form of the coding of ``text[start:stop]``, or None."""
     columns = _code_range(text, start, stop, width)
     return columns and columns.wire()
 
@@ -305,10 +259,10 @@ def _read_blocks(text: str, header: tuple[str, ...]) -> _Columns | None:
 
     Cuts the rows at newlines into one range per CPU, each of at least
     ``_FORK_CHARS``, or a single range. Forked children code all ranges
-    but the first, which this process codes; the ranges' results are then
-    merged in file order. Returns None, leaving the text to the row-by-row
-    pass, on a quote, CR or NUL, a header that does not match, or a range
-    that ``_code_range`` refuses.
+    but the first, which this process codes (see ``_parallel``); the
+    ranges' results are then merged in file order. Returns None, leaving
+    the text to the row-by-row pass, on a quote, CR or NUL, a header that
+    does not match, or a range that ``_code_range`` refuses.
     """
     if '"' in text or "\r" in text or "\0" in text:
         return None
@@ -322,26 +276,19 @@ def _read_blocks(text: str, header: tuple[str, ...]) -> _Columns | None:
     for i in range(1, k):
         end = text.find("\n", max(starts[-1], start + (stop - start) * i // k), stop)
         starts.append(stop + 1 if end < 0 else end + 1)
-    ranges = list(zip(starts, [later - 1 for later in starts[1:]] + [stop]))
-    children = []
+    stops = [later - 1 for later in starts[1:]] + [stop]
+    parts = map_parts(_coded, [(text, *ends, width) for ends in zip(starts, stops)])
     try:
-        for range_start, range_stop in ranges[1:]:
-            children.append(_fork_range(text, range_start, range_stop, width))
-        columns = _code_range(text, *ranges[0], width)
-        for (range_start, range_stop), child in zip(ranges[1:], children):
-            part = columns and _received(child, text, range_start, range_stop, width)
+        columns = _Columns(width - 1)
+        for part in parts:
             if part is None:
                 return None
             columns.merge(*part)
         return columns
     finally:
-        # a child whose result was read is ending; the kill stops one whose
-        # result is not needed, as the text goes to the row-by-row pass
-        for child in filter(None, children):
-            pid, pipe = child
-            pipe.close()
-            os.kill(pid, _SIGKILL)
-            os.waitpid(pid, 0)
+        # the children of ranges not yet read are stopped: the text goes to
+        # the row-by-row pass
+        parts.close()
 
 
 def _read_rows(text: str, header: tuple[str, ...]) -> _Columns:

@@ -30,7 +30,16 @@ for bit, or every frequency table changes. The draws then run through
 one Philox whose key is set, and counter zeroed, per replication into a
 buffer of about ``_CHUNK_VALUES`` values, and the sums of squares and
 :func:`~anovabf.bayes_factors.log_bfs` are evaluated over the whole
-chunk at once.
+chunk at once. The key is set from Python ints, which the state setter
+reads faster than numpy scalars.
+
+The chunks of the whole grid, listed in serial order (each (p, r) in
+turn, its chunks in replication order), are cut into contiguous parts
+of about equal cost, one per CPU once the grid has ``_FORK_VALUES``
+noise values per CPU. Forked children run all parts but the first,
+which this process runs (see ``_parallel``). Each part returns integer
+hit counts, which are summed, so the table is the one of a single part,
+and an error is that of the first failing replication in serial order.
 """
 
 from __future__ import annotations
@@ -41,6 +50,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._parallel import cpus as _cpus
+from ._parallel import map_parts
 from .bayes_factors import Criterion, Model, log_bfs
 from .errors import DegenerateDataError, DomainError, require_finite
 from .sums_of_squares import one_way_ss
@@ -49,6 +60,12 @@ FREQUENCY_CSV_HEADER = ("criterion", "truth", "c_a", "p", "r", "frequency", "rep
 
 # values drawn per chunk (at least one replication's worth)
 _CHUNK_VALUES = 1 << 16
+# Fewest noise values of a grid per process: a million take about 0.1 s to
+# draw and score, against a few milliseconds to fork a child and about 10 ms
+# until its counts are read. The test and golden grids stay in one process.
+_FORK_VALUES = 1 << 20
+# a replication's stream set-up, in the time of the values it draws and scores
+_REKEY_VALUES = 128
 
 # SeedSequence's mixing constants (numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
@@ -196,47 +213,56 @@ def draw_noise(seed: int, p: int, r: int, reps: range, out: np.ndarray | None = 
     if out is None:
         out = np.empty((len(reps), p, r))
     bit_generator = np.random.Philox(0)  # re-keyed for every replication below
-    generator = np.random.Generator(bit_generator)
-    # a fresh stream: counter at zero, nothing buffered
-    zero = np.zeros(4, dtype=np.uint64)
-    key_and_counter = {"counter": zero, "key": zero}
+    normal = np.random.Generator(bit_generator).standard_normal
+    # a fresh stream: counter at zero, nothing buffered; the state setter
+    # reads Python ints faster than numpy scalars
+    key_and_counter = {"counter": (0, 0, 0, 0), "key": (0, 0)}
     state = {
         "bit_generator": "Philox",
         "state": key_and_counter,
-        "buffer": zero,
+        "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for i, key in enumerate(_replication_keys(seed, p, r, reps)):
+    for key, row in zip(_replication_keys(seed, p, r, reps).tolist(), out):
         key_and_counter["key"] = key
         bit_generator.state = state
-        generator.standard_normal(out=out[i])
+        normal(out=row)
     return out
 
 
-def _alternative_hits(cfg: SimulationConfig, p: int, r: int) -> dict[tuple[float, Criterion], int]:
-    """Per (c_a, criterion), how many replications of cell (p, r) favor the alternative."""
-    chunk = max(1, _CHUNK_VALUES // (p * r))
+def _chunk_reps(p: int, r: int) -> int:
+    """Replications per chunk of cell (p, r)."""
+    return max(1, _CHUNK_VALUES // (p * r))
+
+
+def _alternative_hits(
+    cfg: SimulationConfig, p: int, r: int, reps: range
+) -> dict[tuple[float, Criterion], int]:
+    """Per (c_a, criterion), how many of replications ``reps`` of cell (p, r)
+    favor the alternative; ``reps.start`` is a chunk boundary."""
+    chunk = _chunk_reps(p, r)
     try:
         # the noise of a chunk, and the data of one effect size
-        buffers = np.empty((2, min(chunk, cfg.replications), p, r))
+        buffers = np.empty((2, min(chunk, len(reps)), p, r))
     except (ValueError, MemoryError):  # numpy's "array is too big", or allocation failed
         raise DomainError(
             f"cell (p={p}, r={r}) needs {p * r} values per replication, more than memory holds"
         ) from None
     hits = dict.fromkeys(itertools.product(cfg.ca_list, cfg.criteria), 0)
     where = f"at (p={p}, r={r}, seed={cfg.seed})"
-    for start in range(0, cfg.replications, chunk):
-        reps = range(start, min(start + chunk, cfg.replications))
-        noise = draw_noise(cfg.seed, p, r, reps, out=buffers[0, : len(reps)])
+    for start in range(reps.start, reps.stop, chunk):
+        chunk_reps = range(start, min(start + chunk, reps.stop))
+        noise = draw_noise(cfg.seed, p, r, chunk_reps, out=buffers[0, : len(chunk_reps)])
         for c_a in cfg.ca_list:
             # effects beyond the range of a double make data that is not
             # finite, which shows up as sums of squares that are not finite;
             # the shares are taken at unit scale, so finite data of any
             # scale is fine
             with np.errstate(over="ignore", invalid="ignore"):
-                values = np.add(noise, make_alpha(p, c_a)[:, None], out=buffers[1, : len(reps)])
+                alpha = make_alpha(p, c_a)[:, None]
+                values = np.add(noise, alpha, out=buffers[1, : len(chunk_reps)])
                 ss = one_way_ss(values).unit
             overflow = np.flatnonzero(~np.isfinite(ss.w_t))
             if overflow.size:
@@ -258,6 +284,49 @@ def _alternative_hits(cfg: SimulationConfig, p: int, r: int) -> dict[tuple[float
     return hits
 
 
+def _parts(cfg: SimulationConfig, k: int) -> list[list[tuple[int, int, range]]]:
+    """The grid's chunks, in serial order, cut into at most k contiguous
+    nonempty parts of about equal cost.
+
+    Serial order is each (p, r) of the grid in turn, its chunks in
+    replication order. A part is a list of (p, r, reps): a run of whole
+    chunks of one cell. A replication costs about its p * r values plus
+    ``_REKEY_VALUES`` for setting up its stream.
+    """
+    cells = list(itertools.product(cfg.p_list, cfg.r_list))
+    costs = [p * r + _REKEY_VALUES for p, r in cells]
+    total = cfg.replications * sum(costs)
+    parts: list[list[tuple[int, int, range]]] = [[]]
+    done = 0  # cost of the cells before this one
+    for (p, r), cost in zip(cells, costs):
+        chunk, start = _chunk_reps(p, r), 0
+        while start < cfg.replications:
+            # the next part begins at the first chunk boundary past its share
+            # of the cost, or with the next cell; the last part takes the rest
+            ahead = cfg.replications
+            if len(parts) < k:
+                ahead = -(-(total * len(parts) // k - done) // cost)
+            cut = min(cfg.replications, max(start, -(-ahead // chunk) * chunk))
+            if cut > start:
+                parts[-1].append((p, r, range(start, cut)))
+            if cut == cfg.replications:
+                break
+            parts.append([])
+            start = cut
+        done += cfg.replications * cost
+    return [part for part in parts if part]
+
+
+def _part_hits(cfg: SimulationConfig, part: list[tuple[int, int, range]]) -> list[int]:
+    """Alternative hits of a part's replications, one count per
+    (c_a, criterion, p, r) of the grid in table order."""
+    hits = dict.fromkeys(itertools.product(cfg.ca_list, cfg.criteria, cfg.p_list, cfg.r_list), 0)
+    for p, r, reps in part:
+        for (c_a, criterion), alternative in _alternative_hits(cfg, p, r, reps).items():
+            hits[(c_a, criterion, p, r)] += alternative
+    return list(hits.values())
+
+
 def run_frequency_experiment(cfg: SimulationConfig) -> FrequencyTable:
     """Tabulate how often each criterion selects the true model.
 
@@ -269,17 +338,29 @@ def run_frequency_experiment(cfg: SimulationConfig) -> FrequencyTable:
     rule of :func:`~anovabf.bayes_factors.choose_model`. A zero total sum
     of squares in any replication (probability zero under a continuous
     noise law), or one that is not finite, aborts with diagnostics.
+
+    A grid of at least ``_FORK_VALUES`` noise values per CPU runs in one
+    part per CPU, all but the first in forked children; hit counts are
+    summed over the parts, and an error is that of the first failing
+    replication in serial order, so the table and errors are those of
+    one part.
     """
     reps = cfg.replications
-    hits = {}
-    for p, r in itertools.product(cfg.p_list, cfg.r_list):
-        for (c_a, criterion), alternative in _alternative_hits(cfg, p, r).items():
-            null = reps - alternative
-            hits[(c_a, criterion, p, r)] = alternative if cfg.model is Model.FACTOR_A else null
-    keys = itertools.product(cfg.ca_list, cfg.criteria, cfg.p_list, cfg.r_list)
+    values = reps * sum(p * r for p, r in itertools.product(cfg.p_list, cfg.r_list))
+    k = max(1, min(_cpus(), values // _FORK_VALUES))
+    keys = list(itertools.product(cfg.ca_list, cfg.criteria, cfg.p_list, cfg.r_list))
+    alternative = [0] * len(keys)
+    parts = map_parts(_part_hits, [(cfg, part) for part in _parts(cfg, k)])
+    try:
+        for part in parts:
+            alternative = [a + b for a, b in zip(alternative, part)]
+    finally:
+        parts.close()
+    if cfg.model is Model.NULL:
+        alternative = [reps - hits for hits in alternative]
     return FrequencyTable(
         model=cfg.model,
         replications=reps,
         seed=cfg.seed,
-        frequencies={key: hits[key] / reps for key in keys},
+        frequencies={key: hits / reps for key, hits in zip(keys, alternative)},
     )

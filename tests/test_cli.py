@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anovabf import datasets
+from anovabf import datasets, simulation
 from anovabf.cli import run
 from anovabf.datasets import ONE_WAY_HEADER, TWO_WAY_HEADER, write_csv
 
@@ -549,6 +549,48 @@ class TestLargeInput:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert proc.stdout == self.stdout(capsys, argv)
+
+
+class TestForkedSimulate:
+    """``simulate`` on the benchmark's grid shape at a replication count of
+    more than two ``_FORK_VALUES`` noise values, which runs in a part per
+    CPU, all but the first in forked children."""
+
+    ARGV = [
+        "simulate", "--truth", "ma1", "--p", "10", "--p", "50", "--p", "100", "--r", "2",
+        "--r", "5", "--ca", "0.5", "--ca", "1", "--reps", "2000", "--seed", "4294967311",
+    ]
+
+    def stdout(self, capfd):
+        # captured at the file descriptor, where a child's writes would land too
+        assert run(self.ARGV) == 0
+        out, err = capfd.readouterr()
+        assert err == ""
+        return out
+
+    def test_same_stdout_on_one_cpu_and_two(self, forks, no_children, monkeypatch, capfd):
+        assert 2000 * (20 + 50 + 100 + 250 + 200 + 500) >= 2 * simulation._FORK_VALUES
+        monkeypatch.setattr(simulation, "_cpus", lambda: 2)
+        forked = self.stdout(capfd)
+        assert len(forks) == 1
+        no_children()
+        assert forked.count("criterion,") == 1
+        assert len(forked.splitlines()) == 1 + 2 * 2 * 3 * 2
+        monkeypatch.setattr(simulation, "_cpus", lambda: 1)
+        assert self.stdout(capfd) == forked
+        assert len(forks) == 1
+
+    def test_module_run_under_w_always(self, child_env, monkeypatch, capfd):
+        proc = subprocess.run(
+            [sys.executable, "-W", "always", "-m", "anovabf", *self.ARGV],
+            capture_output=True,
+            text=True,
+            env=child_env,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        monkeypatch.setattr(simulation, "_cpus", lambda: 1)
+        assert proc.stdout == self.stdout(capfd)
 
 
 class TestInstalledEntryPoints:

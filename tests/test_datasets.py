@@ -490,6 +490,32 @@ class TestRangesAgreeWithOneRange:
         no_children()
 
 
+class TestBalancedPlacement:
+    """``_Columns.balanced`` places the values as a stable argsort of the
+    int64 cell indices does, whether the indices take one 16-bit digit or
+    two, and on rows already grouped by cell."""
+
+    @pytest.mark.parametrize(
+        "sizes, shuffled",
+        # 60,000 cells take one 16-bit digit, 120,000 take two
+        [((300, 200), True), ((400, 300), True), ((400, 300), False)],
+        ids=["one-digit", "two-digits", "grouped"],
+    )
+    def test_same_values_as_a_stable_argsort(self, sizes, shuffled):
+        rng = np.random.default_rng(3)
+        # two rows of each cell, one after the other
+        rows = np.repeat(list(product(range(sizes[0]), range(sizes[1]))), 2, axis=0)
+        if shuffled:
+            rows = rng.permutation(rows)
+        columns = datasets._Columns(2)
+        columns.add([[f"a{i}" for i in rows[:, 0]], [f"b{j}" for j in rows[:, 1]]], rng.normal(size=len(rows)))
+        levels, values = columns.balanced()
+        assert tuple(map(len, levels)) == sizes
+        cell = np.ravel_multi_index([np.frombuffer(c, dtype=np.int64) for c in columns.codes], sizes)
+        expected = np.frombuffer(columns.values)[np.argsort(cell, kind="stable")]
+        np.testing.assert_array_equal(values, expected.reshape(*sizes, 2))
+
+
 class TestDatasetInvariants:
     def test_one_way_needs_two_levels(self):
         with pytest.raises(DegenerateDesignError):

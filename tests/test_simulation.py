@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -371,3 +372,183 @@ class TestFrequencyExperiment:
             DomainError, match=r"replication 0 at \(p=3, r=2, seed=11\).*not finite \(c_a=1e\+308\)"
         ):
             run_frequency_experiment(cfg)
+
+
+def table_rows(cfg):
+    return run_frequency_experiment(cfg).rows()
+
+
+def outcome(cfg):
+    """The table's rows, or the type and message of the error raised."""
+    try:
+        return table_rows(cfg)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+PARITY_CASES = {
+    "one-chunk-cells": dict(
+        p_list=(2, 3, 4), r_list=(2, 3), ca_list=(0.5, 1.0, 0.0), replications=50, seed=0
+    ),
+    "many-chunk-cells": dict(
+        p_list=(10, 3), r_list=(5, 2), ca_list=(0.3, 1.0), replications=1500, seed=7
+    ),
+    "seed-beyond-32-bits": dict(
+        p_list=(2, 5), r_list=(2, 3), ca_list=(0.4,), replications=300, seed=2**40 + 3
+    ),
+    "largest-seed": dict(
+        p_list=(2, 5), r_list=(2, 3), ca_list=(1.0,), replications=300, seed=2**64 - 1
+    ),
+    "null-truth": dict(model=Model.NULL, p_list=(4, 6), r_list=(2, 4), replications=400, seed=11),
+}
+
+
+class TestPartsAgreeWithOnePart:
+    """The grid cut into 2 or 3 parts, all but the first run by forked
+    children, against the same grid in one part."""
+
+    @pytest.fixture(params=[2, 3], ids=lambda k: f"parts-{k}")
+    def parts(self, request, monkeypatch):
+        monkeypatch.setattr(simulation, "_FORK_VALUES", 1)
+        monkeypatch.setattr(simulation, "_cpus", lambda: request.param)
+        return request.param
+
+    def cfg(self, case):
+        return SimulationConfig(**{"model": Model.FACTOR_A, **PARITY_CASES[case]})
+
+    @pytest.mark.parametrize("chunk_values", [256, simulation._CHUNK_VALUES])
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_same_rows(self, case, chunk_values, parts, forks, no_children, monkeypatch):
+        monkeypatch.setattr(simulation, "_CHUNK_VALUES", chunk_values)
+        cfg = self.cfg(case)
+        assert len(simulation._parts(cfg, parts)) == parts
+        forked = table_rows(cfg)
+        assert len(forks) == parts - 1
+        no_children()
+        monkeypatch.setattr(simulation, "_cpus", lambda: 1)
+        assert table_rows(cfg) == forked
+        assert len(forks) == parts - 1
+        no_children()
+
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_parts_cover_each_replication_once(self, case, parts):
+        cfg = self.cfg(case)
+        cut = simulation._parts(cfg, parts)
+        spans = [span for part in cut for span in part]
+        for p, r in itertools.product(cfg.p_list, cfg.r_list):
+            reps = [rep for q, s, span in spans if (q, s) == (p, r) for rep in span]
+            assert reps == list(range(cfg.replications))
+        chunk = simulation._chunk_reps
+        assert all(span.start % chunk(p, r) == 0 for p, r, span in spans)
+
+    def test_forks_from_a_million_values_per_cpu(self, forks, no_children, monkeypatch):
+        monkeypatch.setattr(simulation, "_cpus", lambda: 2)
+        cfg = SimulationConfig(model=Model.NULL, p_list=(16,), r_list=(8,), seed=5)
+        reps = 2 * simulation._FORK_VALUES // 128
+        table_rows(replace(cfg, replications=reps - 1))
+        assert forks == []
+        table_rows(replace(cfg, replications=reps))
+        assert len(forks) == 1
+        no_children()
+
+    @staticmethod
+    def broken_draws(monkeypatch, faults):
+        """Make ``draw_noise`` give replication ``rep`` of cell (p, r) noise
+        of ``value`` for each ``(p, r, rep, value)`` of faults."""
+        draw = simulation.draw_noise
+
+        def broken(seed, p, r, reps, out=None):
+            noise = draw(seed, p, r, reps, out)
+            for q, s, rep, value in faults:
+                if (q, s) == (p, r) and rep in reps:
+                    noise[reps.index(rep)] = value
+            return noise
+
+        monkeypatch.setattr(simulation, "draw_noise", broken)
+
+    @pytest.mark.parametrize(
+        "faults, error",
+        [
+            ([(4, 3, 40, "flat")], "DegenerateDataError"),
+            ([(4, 3, 40, math.inf)], "DomainError"),
+            ([(4, 2, 7, math.inf), (4, 3, 40, "flat")], "DomainError"),
+            ([(4, 2, 7, "flat"), (4, 3, 40, math.inf)], "DegenerateDataError"),
+        ],
+        ids=["flat-late", "overflow-late", "overflow-then-flat", "flat-then-overflow"],
+    )
+    def test_same_error_from_a_later_part(self, faults, error, parts, forks, no_children, monkeypatch):
+        cfg = self.cfg("one-chunk-cells")
+        # "flat": noise that cancels the c_a = 1 effects leaves every value 0
+        faults = [
+            (p, r, rep, -make_alpha(p, 1.0)[:, None] if value == "flat" else value)
+            for p, r, rep, value in faults
+        ]
+        self.broken_draws(monkeypatch, faults)
+        # the faults fall in later parts only, the first in serial order in the second part
+        cut = simulation._parts(cfg, parts)
+        assert (4, 2, range(50)) in cut[1]
+        assert {(p, r) for p, r, *_ in faults} <= {(p, r) for part in cut[1:] for p, r, _ in part}
+        forked = outcome(cfg)
+        assert forked[0] == error
+        assert "seed=0" in forked[1]
+        assert len(forks) == parts - 1
+        no_children()
+        monkeypatch.setattr(simulation, "_cpus", lambda: 1)
+        assert outcome(cfg) == forked
+
+    def test_same_cell_size_error_from_a_later_part(self, parts, forks, no_children, monkeypatch):
+        empty = np.empty
+
+        def out_of_memory(shape, *args, **kwargs):
+            if isinstance(shape, tuple) and shape[-2:] == (4, 3):
+                raise MemoryError("Unable to allocate")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(simulation.np, "empty", out_of_memory)
+        cfg = self.cfg("one-chunk-cells")
+        forked = outcome(cfg)
+        assert forked[0] == "DomainError" and forked[1].startswith("cell (p=4, r=3) needs 12 values")
+        assert len(forks) == parts - 1
+        no_children()
+        monkeypatch.setattr(simulation, "_cpus", lambda: 1)
+        assert outcome(cfg) == forked
+
+    def test_part_of_a_child_that_dies_is_run_here(self, parts, forks, no_children, monkeypatch):
+        cfg = self.cfg("many-chunk-cells")
+        expected = table_rows(cfg)
+        parent, hits = os.getpid(), simulation._alternative_hits
+
+        def dies(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return hits(*args)
+
+        monkeypatch.setattr(simulation, "_alternative_hits", dies)
+        assert table_rows(cfg) == expected
+        assert len(forks) == 2 * (parts - 1)
+        no_children()
+
+    def test_parts_run_here_when_fork_fails(self, parts, no_children, monkeypatch):
+        cfg = self.cfg("many-chunk-cells")
+        expected = table_rows(cfg)
+
+        def fails():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fails)
+        assert table_rows(cfg) == expected
+        no_children()
+
+    def test_children_reaped_when_this_part_raises(self, parts, forks, no_children, monkeypatch):
+        parent, hits = os.getpid(), simulation._alternative_hits
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return hits(*args)
+
+        monkeypatch.setattr(simulation, "_alternative_hits", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            table_rows(self.cfg("many-chunk-cells"))
+        assert len(forks) == parts - 1
+        no_children()
