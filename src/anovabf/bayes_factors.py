@@ -15,11 +15,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError
-from .sums_of_squares import OneWaySS, TwoWaySS
+
+if TYPE_CHECKING:
+    from .sums_of_squares import OneWaySS, TwoWaySS
 
 INF = float("inf")
 _LOG_GAMMA_HALF = math.lgamma(0.5)

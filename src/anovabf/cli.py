@@ -10,39 +10,42 @@ run manifest (which carries a timestamp) goes to a sidecar file next to
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import enum
+import io
 import json
 import math
 import sys
+from collections.abc import Iterable
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .bayes_factors import (
-    BayesFactorReport,
-    Criterion,
-    Model,
-    log_bfs,
-    one_way_report,
-    rank_two_way_models,
-    two_way_reports,
-)
-from .consistency import EffectSizes, h_threshold, predicted_mse_gap, two_way_consistency_window
-from .datasets import parse_one_way, parse_two_way, write_csv
 from .errors import AnovaBFError, DomainError, ParseError
-from .prior import BetaPrimePrior, log_bf_quadrature
-from .simulation import FREQUENCY_CSV_HEADER, SimulationConfig, run_frequency_experiment
-from .sums_of_squares import one_way_ss, two_way_ss
+
+# Each handler imports the numpy-backed modules it runs, so --help, usage
+# errors and every command load only what they use.
 
 ORACLE_TOLERANCE = 1e-8
 
+# --truth spellings -> Model values
 _TRUTH_ALIASES = {
-    "m1": Model.NULL,
-    "1": Model.NULL,
-    "ma1": Model.FACTOR_A,
-    "ma+1": Model.FACTOR_A,
-    "a+1": Model.FACTOR_A,
+    "m1": "1",
+    "1": "1",
+    "ma1": "A+1",
+    "ma+1": "A+1",
+    "a+1": "A+1",
 }
+
+
+def write_csv(header: Iterable[str], rows: Iterable[Iterable]) -> str:
+    """Render a header and rows in the CSV wire format that the parsers read."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def _jsonify(value):
@@ -51,7 +54,7 @@ def _jsonify(value):
         return {_jsonify(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
-    if isinstance(value, (Model, Criterion)):
+    if isinstance(value, enum.Enum):  # Model and Criterion
         return value.value
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
@@ -92,6 +95,16 @@ def _json_payload(doc: dict) -> str:
 
 
 def _cmd_bf(args: argparse.Namespace) -> tuple[str, str, dict, None]:
+    from .bayes_factors import (
+        BayesFactorReport,
+        Model,
+        one_way_report,
+        rank_two_way_models,
+        two_way_reports,
+    )
+    from .datasets import parse_one_way, parse_two_way
+    from .sums_of_squares import one_way_ss, two_way_ss
+
     try:
         text = Path(args.input).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -121,6 +134,9 @@ def _cmd_bf(args: argparse.Namespace) -> tuple[str, str, dict, None]:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> tuple[str, str, dict, None]:
+    from .bayes_factors import log_bfs
+    from .prior import BetaPrimePrior, log_bf_quadrature
+
     n = args.p * args.r
     closure = BetaPrimePrior.for_closed_form(n, args.p)
     a = closure.a if args.a is None else args.a
@@ -157,6 +173,8 @@ def _cmd_oracle_check(args: argparse.Namespace) -> tuple[str, str, dict, None]:
 
 
 def _cmd_consistency(args: argparse.Namespace) -> tuple[str, str, dict, None]:
+    from .consistency import EffectSizes, h_threshold, predicted_mse_gap, two_way_consistency_window
+
     if args.diagnostic == "h":
         doc = {"r": args.r, "h": h_threshold(args.r)}
         params = {"r": args.r}
@@ -189,9 +207,13 @@ def _cmd_consistency(args: argparse.Namespace) -> tuple[str, str, dict, None]:
 def _cmd_simulate(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> tuple[str, str, dict, int]:
-    truth_model = _TRUTH_ALIASES.get(args.truth.lower())
-    if truth_model is None:
+    from .bayes_factors import Criterion, Model
+    from .simulation import FREQUENCY_CSV_HEADER, SimulationConfig, run_frequency_experiment
+
+    truth = _TRUTH_ALIASES.get(args.truth.lower())
+    if truth is None:
         parser.error(f"unknown truth {args.truth!r} (expected M1 or MA1)")
+    truth_model = Model(truth)
     ca_list = args.ca if args.ca else [0.0]
     if len(set(ca_list)) != len(ca_list):
         parser.error(f"duplicate --ca values: {ca_list}")

@@ -121,15 +121,6 @@ class TwoWayDataset:
         return self.values.size
 
 
-def write_csv(header: Iterable[str], rows: Iterable[Iterable]) -> str:
-    """Render a header and rows in the CSV wire format that the parsers read."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
-
-
 class _Columns:
     """Rows coded column by column: label codes per factor and the values.
 

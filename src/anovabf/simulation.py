@@ -12,12 +12,12 @@ Every replication draws from its own Philox stream (a counter-based
 generator; Salmon et al. 2011, "Parallel random numbers: as easy as
 1, 2, 3"), keyed as ``SeedSequence(entropy=seed, spawn_key=(p, r, rep))``
 would key it, with the counter at zero. The key does not involve c_a:
-a chunk's noise is drawn once, and every effect size adds its level
-effects to that noise. The table therefore does not depend on how
-replications are ordered, chunked or distributed, and it
-equals, byte for byte, the table from drawing each replication through
-``Generator(Philox(SeedSequence(...)))``, which the tests use as the
-reference.
+a chunk's noise is drawn once, and every effect size is scored from
+that noise's level means (see :func:`_alternative_hits`). The table
+therefore does not depend on how replications are ordered, chunked or
+distributed, and it equals, byte for byte, the table from drawing each
+replication through ``Generator(Philox(SeedSequence(...)))``, which the
+tests use as the reference.
 
 Building one SeedSequence per replication costs more than drawing its
 data, so :func:`_replication_keys` derives a chunk's keys in one numpy
@@ -28,7 +28,9 @@ steps are numpy's documented SeedSequence algorithm, whose output numpy
 keeps stable across releases; the keys must equal SeedSequence's bit
 for bit, or every frequency table changes. The draws then run through
 one Philox whose key is set, and counter zeroed, per replication into a
-buffer of about ``_CHUNK_VALUES`` values, and the sums of squares and
+buffer of about ``_CHUNK_VALUES`` values. One pass over the chunk gives
+its level means and residual sums; every effect size then adds its level
+effects to the means alone, and its sums of squares and
 :func:`~anovabf.bayes_factors.log_bfs` are evaluated over the whole
 chunk at once. The key is set from Python ints, which the state setter
 reads faster than numpy scalars.
@@ -241,44 +243,65 @@ def _alternative_hits(
     cfg: SimulationConfig, p: int, r: int, reps: range
 ) -> dict[tuple[float, Criterion], int]:
     """Per (c_a, criterion), how many of replications ``reps`` of cell (p, r)
-    favor the alternative; ``reps.start`` is a chunk boundary."""
+    favor the alternative; ``reps.start`` is a chunk boundary.
+
+    The level effects move each level mean and leave every residual as it
+    is, so one pass over a chunk's noise gives the residual sum w_e and
+    the level means' deviations d from their grand mean, and an effect
+    size then costs w_h = r * sum((d + alpha)**2) per replication. A
+    replication whose total w_e + w_h is 0 or not finite (the squares of
+    effects beyond the range of a double, say) is scored again on its
+    data, noise + alpha, by ``one_way_ss``, whose unit-scale sums hold at
+    any finite scale, so errors name the replication and c_a they did
+    when every effect size was scored that way. Otherwise the sums differ
+    from those of the data by rounding alone, which changes a hit only for
+    a share within rounding of the decision threshold.
+    """
     chunk = _chunk_reps(p, r)
     try:
-        # the noise of a chunk, and the data of one effect size
-        buffers = np.empty((2, min(chunk, len(reps)), p, r))
+        noise_buffer = np.empty((min(chunk, len(reps)), p, r))
     except (ValueError, MemoryError):  # numpy's "array is too big", or allocation failed
         raise DomainError(
             f"cell (p={p}, r={r}) needs {p * r} values per replication, more than memory holds"
         ) from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        # an effect size beyond the range of a double gives effects that are not finite
+        alphas = {c_a: make_alpha(p, c_a) for c_a in cfg.ca_list}
     hits = dict.fromkeys(itertools.product(cfg.ca_list, cfg.criteria), 0)
     where = f"at (p={p}, r={r}, seed={cfg.seed})"
     for start in range(reps.start, reps.stop, chunk):
         chunk_reps = range(start, min(start + chunk, reps.stop))
-        noise = draw_noise(cfg.seed, p, r, chunk_reps, out=buffers[0, : len(chunk_reps)])
-        for c_a in cfg.ca_list:
-            # effects beyond the range of a double make data that is not
-            # finite, which shows up as sums of squares that are not finite;
-            # the shares are taken at unit scale, so finite data of any
-            # scale is fine
+        noise = draw_noise(cfg.seed, p, r, chunk_reps, out=noise_buffer[: len(chunk_reps)])
+        # the operations of one_way_ss, so that c_a = 0 gives its sums bit for bit
+        with np.errstate(over="ignore", invalid="ignore"):
+            level_means = noise.mean(axis=-1)
+            deviations = level_means - level_means.mean(axis=-1)[:, None]
+            w_e = np.sum((noise - level_means[..., None]) ** 2, axis=(-2, -1))
+        for c_a, alpha in alphas.items():
             with np.errstate(over="ignore", invalid="ignore"):
-                alpha = make_alpha(p, c_a)[:, None]
-                values = np.add(noise, alpha, out=buffers[1, : len(chunk_reps)])
-                ss = one_way_ss(values).unit
-            overflow = np.flatnonzero(~np.isfinite(ss.w_t))
+                w_t = w_e + r * np.sum((deviations + alpha) ** 2, axis=-1)
+            residual = w_e
+            again = np.flatnonzero(~np.isfinite(w_t) | (w_t == 0.0))
+            if again.size:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    unit = one_way_ss(noise[again] + alpha[:, None]).unit
+                residual = w_e.copy()
+                residual[again], w_t[again] = unit.w_e, unit.w_t
+            overflow = np.flatnonzero(~np.isfinite(w_t))
             if overflow.size:
                 rep = start + overflow[0]
                 raise DomainError(
                     f"replication {rep} {where} has a sum of squares that is not finite"
                     f" (c_a={c_a})"
                 )
-            degenerate = np.flatnonzero(ss.w_t == 0.0)
+            degenerate = np.flatnonzero(w_t == 0.0)
             if degenerate.size:
                 rep = start + degenerate[0]
                 raise DegenerateDataError(
                     f"replication {rep} {where} produced a zero total sum of squares"
                     f" (c_a={c_a})"
                 )
-            log_bf = dict(zip((Criterion.FB, Criterion.BIC), log_bfs(p * r, p, ss.w_e / ss.w_t)))
+            log_bf = dict(zip((Criterion.FB, Criterion.BIC), log_bfs(p * r, p, residual / w_t)))
             for criterion in cfg.criteria:
                 hits[(c_a, criterion)] += int(np.count_nonzero(log_bf[criterion] > 0))
     return hits
@@ -332,12 +355,13 @@ def run_frequency_experiment(cfg: SimulationConfig) -> FrequencyTable:
 
     For every (p, r) in the grid, draws the configured number of
     replications chunk by chunk, adds each effect size's level effects
-    to the same noise, and scores each replication through the sums of
-    squares and both Bayes factors. A criterion picks the alternative
-    when its log Bayes factor is positive and the null otherwise, the
-    rule of :func:`~anovabf.bayes_factors.choose_model`. A zero total sum
-    of squares in any replication (probability zero under a continuous
-    noise law), or one that is not finite, aborts with diagnostics.
+    to the same noise's level means, and scores each replication through
+    the sums of squares and both Bayes factors. A criterion picks the
+    alternative when its log Bayes factor is positive and the null
+    otherwise, the rule of :func:`~anovabf.bayes_factors.choose_model`. A
+    zero total sum of squares in any replication (probability zero under
+    a continuous noise law), or one that is not finite, aborts with
+    diagnostics.
 
     A grid of at least ``_FORK_VALUES`` noise values per CPU runs in one
     part per CPU, all but the first in forked children; hit counts are

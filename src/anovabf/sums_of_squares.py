@@ -23,10 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from dataclasses import fields as fields_of
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .datasets import OneWayDataset, TwoWayDataset
+if TYPE_CHECKING:  # the CSV reader is not loaded by consumers of plain arrays
+    from .datasets import OneWayDataset, TwoWayDataset
 
 # Totals in this range come from squares that neither overflowed nor lost
 # bits that matter in the subnormal range.
@@ -132,7 +134,7 @@ def one_way_ss(data: OneWayDataset | np.ndarray) -> OneWaySS:
     axes of an array index datasets, and the fields are then arrays over
     them; each dataset's sums equal those of its own 2-D slice bit for bit.
     """
-    y = data.values if isinstance(data, OneWayDataset) else np.asarray(data)
+    y = np.asarray(getattr(data, "values", data))
     return _at_any_scale(_one_way_sums, y, (-2, -1))
 
 

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from anovabf import datasets, simulation
-from anovabf.cli import run
-from anovabf.datasets import ONE_WAY_HEADER, TWO_WAY_HEADER, write_csv
+from anovabf.cli import run, write_csv
+from anovabf.datasets import ONE_WAY_HEADER, TWO_WAY_HEADER
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -670,6 +670,64 @@ class TestInstalledEntryPoints:
         )
         loaded = proc.stderr.splitlines()[-1]
         assert "'scipy.optimize'" in loaded
+
+    # prints the anovabf modules loaded, and whether numpy is, after running
+    # the CLI on argv in the same interpreter
+    LOAD_PROBE = (
+        "import sys\n"
+        "import anovabf.cli\n"
+        "try:\n"
+        "    anovabf.cli.run(sys.argv[1:])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'anovabf')\n"
+        "print(loaded, 'numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    CLI_MODULES = ["anovabf", "anovabf.cli", "anovabf.errors"]
+
+    def loaded(self, argv, env, before=""):
+        proc = subprocess.run(
+            [sys.executable, "-c", before + self.LOAD_PROBE, *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        return proc.stderr.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "argv, modules, numpy",
+        [
+            (["--help"], [], False),
+            (["simulate", "--truth", "ma1"], [], False),
+            (
+                ["simulate", "--truth", "ma1", "--p", "3", "--r", "2", "--ca", "1", "--reps", "20"],
+                ["_parallel", "bayes_factors", "simulation", "sums_of_squares"],
+                True,
+            ),
+            (
+                ["bf", "one-way", "--input", "{input}"],
+                ["_parallel", "bayes_factors", "datasets", "sums_of_squares"],
+                True,
+            ),
+            (
+                ["oracle", "check", "--p", "3", "--r", "2", "--ratio", "0.5"],
+                ["bayes_factors", "numerics", "prior"],
+                True,
+            ),
+            (["consistency", "h", "--r", "5"], ["bayes_factors", "consistency", "numerics"], True),
+        ],
+        ids=["help", "usage-error", "simulate", "bf-one-way", "oracle", "consistency-h"],
+    )
+    def test_command_loads_only_what_it_runs(self, argv, modules, numpy, tmp_path, child_env):
+        argv = [arg.format(input=write(tmp_path, "d.csv", ONE_WAY_CSV)) for arg in argv]
+        expected = sorted(self.CLI_MODULES + [f"anovabf.{m}" for m in modules])
+        assert self.loaded(argv, child_env) == f"{expected} {numpy}"
+
+    def test_load_probe_sees_modules_loaded_beside_the_cli(self, child_env):
+        # the positive control of the probe above: a module loaded before --help
+        loaded = self.loaded(["--help"], child_env, before="import anovabf.prior\n")
+        expected = sorted(self.CLI_MODULES + ["anovabf.numerics", "anovabf.prior"])
+        assert loaded == f"{expected} True"
 
     def test_identical_runs_identical_bytes(self, child_env):
         argv = [

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from anovabf import datasets
+from anovabf.cli import write_csv
 from anovabf.datasets import (
     ONE_WAY_HEADER,
     TWO_WAY_HEADER,
@@ -13,7 +14,6 @@ from anovabf.datasets import (
     TwoWayDataset,
     parse_one_way,
     parse_two_way,
-    write_csv,
 )
 from anovabf.errors import (
     AnovaBFError,

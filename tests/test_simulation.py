@@ -9,7 +9,8 @@ import pytest
 import anovabf.bayes_factors as bayes_factors
 import anovabf.simulation as simulation
 from anovabf.bayes_factors import Criterion, Model, one_way_report
-from anovabf.datasets import OneWayDataset, write_csv
+from anovabf.cli import write_csv
+from anovabf.datasets import OneWayDataset
 from anovabf.errors import DegenerateDataError, DomainError
 from anovabf.simulation import (
     FREQUENCY_CSV_HEADER,
@@ -372,6 +373,56 @@ class TestFrequencyExperiment:
             DomainError, match=r"replication 0 at \(p=3, r=2, seed=11\).*not finite \(c_a=1e\+308\)"
         ):
             run_frequency_experiment(cfg)
+
+
+def reference_alternative_hits(cfg, p, r, reps):
+    """Alternative hits with every effect size scored on its data, noise +
+    alpha, through ``one_way_ss``'s unit-scale sums."""
+    noise = draw_noise(cfg.seed, p, r, reps)
+    hits = {}
+    for c_a in cfg.ca_list:
+        with np.errstate(over="ignore"):
+            ss = one_way_ss(noise + make_alpha(p, c_a)[:, None]).unit
+        log_fb, log_bic = bayes_factors.log_bfs(p * r, p, ss.w_e / ss.w_t)
+        for criterion, log_bf in ((Criterion.FB, log_fb), (Criterion.BIC, log_bic)):
+            if criterion in cfg.criteria:
+                hits[(c_a, criterion)] = int(np.count_nonzero(log_bf > 0))
+    return hits
+
+
+class TestSharedLevelMeans:
+    """Every effect size scored from one pass over a chunk's level means,
+    against scoring each on its own data."""
+
+    @pytest.mark.parametrize("chunk_values", [256, simulation._CHUNK_VALUES])
+    @pytest.mark.parametrize(
+        "p, r, seed, replications",
+        [(2, 2, 0, 600), (3, 5, 7, 400), (10, 2, 2**40 + 3, 300), (17, 4, 2**64 - 1, 200)],
+    )
+    def test_same_hits_as_scoring_the_data(self, p, r, seed, replications, chunk_values, monkeypatch):
+        monkeypatch.setattr(simulation, "_CHUNK_VALUES", chunk_values)
+        cfg = SimulationConfig(
+            model=Model.FACTOR_A,
+            p_list=(p,),
+            r_list=(r,),
+            ca_list=(0.0, 1e-300, 1.0, 1e300, 1e307),
+            replications=replications,
+            seed=seed,
+        )
+        reps = range(replications)
+        hits = simulation._alternative_hits(cfg, p, r, reps)
+        assert hits == reference_alternative_hits(cfg, p, r, reps)
+        # the effects beyond the range of a double's squares are always found
+        assert hits[(1e307, Criterion.FB)] == hits[(1e307, Criterion.BIC)] == replications
+
+    def test_same_hits_from_a_later_chunk(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_CHUNK_VALUES", 64)
+        cfg = SimulationConfig(
+            model=Model.FACTOR_A, p_list=(4,), r_list=(3,), ca_list=(0.0, 0.5, 1e307), seed=3
+        )
+        reps = range(5 * simulation._chunk_reps(4, 3), 9 * simulation._chunk_reps(4, 3) + 1)
+        hits = simulation._alternative_hits(cfg, 4, 3, reps)
+        assert hits == reference_alternative_hits(cfg, 4, 3, reps)
 
 
 def table_rows(cfg):
