@@ -176,8 +176,20 @@ def one_way_report(ss: OneWaySS, p: int, r: int) -> BayesFactorReport:
 
 
 def log_bf_fb_one_way(ss: OneWaySS, p: int, r: int) -> float:
-    """log fully-Bayes factor of the level-means model against the common mean."""
-    return one_way_report(ss, p, r).log_bf_fb
+    """log fully-Bayes factor of the level-means model against the common mean.
+
+    Equals ``one_way_report(ss, p, r).log_bf_fb``, errors included, without
+    building the report.
+    """
+    _check_design(p, r)
+    unit = ss.unit or ss
+    total = unit.w_e + unit.w_h
+    if total == 0.0:
+        raise DegenerateDataError("total sum of squares is zero")
+    log_fb = _log_bf_fb_kernel(p * r, p, _log_share(unit.w_e / total))
+    if math.isnan(log_fb):
+        raise DomainError("log Bayes factor is NaN")
+    return log_fb
 
 
 def _two_way_fits(p: int, q: int) -> dict[Model, tuple[int, tuple[str, ...]]]:

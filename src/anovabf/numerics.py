@@ -15,6 +15,9 @@ from .errors import ConvergenceError, DomainError
 _ABS_TOL = 1e-12
 _REL_TOL = 1e-10
 _MAX_SUBDIVISIONS = 2000
+# no error estimate beats the rounding of the rule's sum: this times the
+# weighted sum of |f| (QUADPACK's 50 * epmach)
+_ROUNDING = 50.0 * float(np.finfo(float).eps)
 
 # QUADPACK's 21-point Gauss-Kronrod rule dqk21 (Piessens et al., "QUADPACK",
 # Springer 1983) on [-1, 1], in the order dqk21 adds its terms: the centre,
@@ -87,8 +90,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], edges) -> float:
         error = np.abs((kronrod - _WG @ pairs[1:6]) * half)
         with np.errstate(all="ignore"):
             scaled = spread * np.minimum(200.0 * error / spread, 1.0) ** 1.5
-        # no estimate beats the rounding of the sum itself
-        floor = 50.0 * np.finfo(float).eps * (_WEIGHTS @ np.abs(values)) * half
+        floor = _ROUNDING * (_WEIGHTS @ np.abs(values)) * half
         error = np.maximum(np.where(spread != 0.0, scaled, error), floor)
         value = kronrod * half
         estimate = sum(value.tolist(), done)  # in order, as a loop over the pieces adds

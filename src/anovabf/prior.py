@@ -5,13 +5,19 @@ factor as an explicit mixture over the prior scale g, integrated in log
 space over u = log g by the batched rule of :func:`numerics.integrate`,
 so factors far beyond a double's range are checked too, on and off the
 closed-form manifold (the hyper-g case is b = 0). The integrand's mode
-is in closed form, so no root search is involved.
+is in closed form, so no root search is involved. The integration range
+is found one float at a time: segments double in length away from the
+mode until the log integrand at both ends has fallen _TAIL_DROP below
+the peak, within a few doublings for most designs. The scalar steps take
+the same cancellation-free arithmetic as the array steps of the
+integration.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -22,7 +28,13 @@ from .numerics import integrate, log_beta
 # peak, at the first of up to 64 doublings; the tails beyond hold a
 # negligible share of the mass.
 _TAIL_DROP = 60.0
-_DOUBLINGS = 2.0 ** np.arange(64)
+_DOUBLINGS = 64
+# the breakpoints, in widths from the mode: -2**63, ..., -2, -1, 1, 2, ..., 2**63
+_EDGES = np.concatenate([-(2.0 ** np.arange(_DOUBLINGS))[::-1], 2.0 ** np.arange(_DOUBLINGS)])
+# softplus has slope at most 1, so no term of the log integrand at x exceeds
+# the sum of its coefficients' magnitudes times |x|: below this bound (with
+# room for rounding) none can overflow
+_NO_OVERFLOW = 2.0**1000
 
 
 @dataclass(frozen=True)
@@ -93,9 +105,26 @@ def _softplus_step(v: float, x: np.ndarray) -> np.ndarray:
     v > 0 it is the mirror x + step(-v, -x)."""
     if v > 0.0:
         return x + _softplus_step(-v, -x)
+    far = x > 700.0
+    if not far.any():
+        return np.log1p(_sigmoid(v) * np.expm1(x))
     step = np.log1p(_sigmoid(v) * np.expm1(np.minimum(x, 700.0)))
-    step[x > 700.0] = np.logaddexp(0.0, v + x[x > 700.0]) - _softplus(v)
+    step[far] = np.logaddexp(0.0, v + x[far]) - _softplus(v)
     return step
+
+
+def _step_at(v: float) -> Callable[[float], float]:
+    """softplus(v + x) - softplus(v) as a function of one float x, by the
+    arithmetic of :func:`_softplus_step`.
+
+    The plain difference softplus(v + x) - softplus(v) is not a substitute:
+    when the log integrand's coefficients are huge it cancels to values that
+    end the range search where the integrand is noise."""
+    if v > 0.0:
+        mirror = _step_at(-v)
+        return lambda x: x + mirror(-x)
+    weight, base = _sigmoid(v), _softplus(v)
+    return lambda x: _softplus(v + x) - base if x > 700.0 else math.log1p(weight * math.expm1(x))
 
 
 def _log_mode(alpha: float, beta: float, k: float, c: float, ratio: float) -> float:
@@ -109,6 +138,28 @@ def _log_mode(alpha: float, beta: float, k: float, c: float, ratio: float) -> fl
     return math.log(2.0 * k) - math.log(root_d - b_coef)
 
 
+def _doublings(shifted_at: Callable[[float], float], width: float, size: float) -> int:
+    """How many doublings of ``width`` the integration range spans on each side.
+
+    Walks out from the mode, x = width * 2**j for j = 0, 1, ..., to the
+    first j where shifted_at(x) and shifted_at(-x) are both _TAIL_DROP
+    below the peak. ``size`` is the sum of the magnitudes of the log
+    integrand's coefficients. When size times the last doubling could
+    overflow, the ends of every doubling are evaluated first, and a value
+    that is not finite raises FloatingPointError, as a search of all of
+    them under ``np.errstate(over="raise")`` would.
+    """
+    if size * width * 2.0 ** (_DOUBLINGS - 1) >= _NO_OVERFLOW:
+        for x in (width * 2.0**j for j in range(_DOUBLINGS)):
+            if not (math.isfinite(shifted_at(x)) and math.isfinite(shifted_at(-x))):
+                raise FloatingPointError("overflow in the log integrand")
+    for j in range(_DOUBLINGS):
+        x = width * 2.0**j
+        if shifted_at(x) <= -_TAIL_DROP and shifted_at(-x) <= -_TAIL_DROP:
+            return j + 1
+    raise ConvergenceError("no doubling reaches the tails", math.nan)
+
+
 def log_bf_quadrature(n: int, p_alt: int, ratio: float, prior: BetaPrimePrior) -> float:
     """log Bayes factor by numerical integration over u = log g.
 
@@ -118,8 +169,9 @@ def log_bf_quadrature(n: int, p_alt: int, ratio: float, prior: BetaPrimePrior) -
     -c = -(p_alt-1)/2 - a - 1 < 0 at +inf, so it has one mode m, the log of
     a quadratic's positive root in e**u (:func:`_log_mode`). The integrand,
     relative to its value at m, is integrated over segments that double
-    in length away from m until it is _TAIL_DROP below the peak; the log
-    of that integral is added back to the peak.
+    in length away from m until it is _TAIL_DROP below the peak on both
+    sides (:func:`_doublings`, one float at a time); the log of that
+    integral is added back to the peak.
     """
     _check_bf_args(n, p_alt, ratio)
     alpha = (n - p_alt) / 2.0 - prior.a - prior.b - 2.0
@@ -133,18 +185,21 @@ def log_bf_quadrature(n: int, p_alt: int, ratio: float, prior: BetaPrimePrior) -
     def shifted(x: np.ndarray) -> np.ndarray:
         return alpha * _softplus_step(m, x) - beta * _softplus_step(m + log_ratio, x) + k * x
 
+    step_m, step_ml = _step_at(m), _step_at(m + log_ratio)
+
+    def shifted_at(x: float) -> float:
+        return alpha * step_m(x) - beta * step_ml(x) + k * x
+
     # the segments start at the peak's width, capped at 1 so that a long flat
     # stretch next to a sharp mode is still resolved
     curvature = beta * _sigmoid(m + log_ratio) * _sigmoid(-m - log_ratio)
     curvature -= alpha * _sigmoid(m) * _sigmoid(-m)
-    reach = max(curvature, 1.0) ** -0.5 * _DOUBLINGS
+    width = max(curvature, 1.0) ** -0.5
     try:
+        j = _doublings(shifted_at, width, abs(alpha) + beta + k)
+        edges = width * _EDGES[_DOUBLINGS - j : _DOUBLINGS + j]
         with np.errstate(over="raise"):
-            ends = (shifted(np.concatenate([reach, -reach])) <= -_TAIL_DROP).reshape(2, -1)
-            if not ends.all(axis=0).any():
-                raise ConvergenceError("no doubling reaches the tails", math.nan)
-            reach = reach[: ends.all(axis=0).argmax() + 1]
-            mass = integrate(lambda x: np.exp(shifted(x)), np.concatenate([-reach[::-1], reach]))
+            mass = integrate(lambda x: np.exp(shifted(x)), edges)
     except (FloatingPointError, ConvergenceError) as exc:
         # one line names the prior, whatever failed
         failure = "overflows" if isinstance(exc, FloatingPointError) else "did not converge"

@@ -51,6 +51,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy loads numpy.random on first use: load it before map_parts forks, so
+# that each part does not load it again
+import numpy.random  # noqa: F401
 
 from ._parallel import cpus as _cpus
 from ._parallel import map_parts

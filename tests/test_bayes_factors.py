@@ -301,3 +301,49 @@ class TestLogBfs:
     def test_parameter_count_outside_design_rejected(self, n, s1):
         with pytest.raises(DomainError, match="0 < s1 < n"):
             log_bfs(n, s1, 0.5)
+
+
+def outcome(fn, *args):
+    """A call's value as float.hex, or its error's type and text."""
+    try:
+        return float.hex(fn(*args))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestOneWayFactorWithoutReport:
+    """log_bf_fb_one_way scores the kernel without building the report:
+    its value and its errors are the report's, bit for bit."""
+
+    cases = {
+        "share-0": ss_with_ratio(0.0),
+        "share-negative-zero": OneWaySS(w_t=1.0, w_e=-0.0, w_h=1.0),
+        "share-below-0": ss_with_ratio(-1e-300),
+        "share-tiny": ss_with_ratio(1e-300),
+        "share-0.3": ss_with_ratio(0.3),
+        "share-1": ss_with_ratio(1.0),
+        "share-above-1": ss_with_ratio(1.0 + 1e-15),
+        "share-nan": OneWaySS(w_t=math.nan, w_e=math.nan, w_h=1.0),
+        "total-nan": OneWaySS(w_t=math.nan, w_e=0.5, w_h=math.nan),
+        "total-inf": OneWaySS(w_t=math.inf, w_e=math.inf, w_h=1.0),
+        "total-0": OneWaySS(w_t=0.0, w_e=0.0, w_h=0.0),
+        "unit-scaled-1e200": one_way_ss(np.arange(12.0).reshape(3, 4) * 1e200),
+        "unit-scaled-1e-200": one_way_ss(np.arange(12.0).reshape(3, 4) ** 2 * 1e-200),
+    }
+
+    @pytest.mark.parametrize("p, r", [(2, 2), (3, 4), (40, 5000), (1, 5), (5, 1)])
+    @pytest.mark.parametrize("case", sorted(cases))
+    def test_equals_the_report(self, case, p, r):
+        ss = self.cases[case]
+        report = outcome(lambda: one_way_report(ss, p, r).log_bf_fb)
+        assert outcome(log_bf_fb_one_way, ss, p, r) == report
+
+    def test_cases_cover_each_error(self):
+        results = [
+            outcome(lambda: one_way_report(ss, p, r).log_bf_fb)
+            for ss in self.cases.values()
+            for p, r in [(2, 2), (1, 5)]
+        ]
+        errors = {result[0] for result in results if isinstance(result, tuple)}
+        assert errors == {"DomainError", "DegenerateDataError"}
+        assert "inf" in results

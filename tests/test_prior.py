@@ -4,11 +4,14 @@ import re
 import numpy as np
 import pytest
 
+import anovabf.prior as prior_module
 from anovabf.bayes_factors import log_bf_fb_one_way
 from anovabf.errors import ConvergenceError, DomainError
 from anovabf.prior import (
     BetaPrimePrior,
     _log_mode,
+    _sigmoid,
+    _softplus,
     beta_prime_log_density,
     bf_quadrature,
     log_bf_quadrature,
@@ -161,6 +164,125 @@ class TestLogQuadrature:
         # the integrand is noise: it overflows at 1e300, never converges at 1e20
         with pytest.raises(ConvergenceError, match=re.escape(f"prior a=-0.5, b={b}")):
             log_bf_quadrature(6, 3, 0.5, BetaPrimePrior(a=-0.5, b=b))
+
+
+class TestBitPins:
+    # float.hex of each value as the vector range search computed it, before
+    # the search walked out one float at a time; (4, 2, 1e-20) integrates in
+    # three rounds, the others in one
+    PINS = [
+        (20, 4, 0.3, "closure", "0x1.52c4c1858c8b3p+2"),
+        (5000, 50, 0.9, "closure", "0x1.ed78f665bfbf3p+6"),
+        (10**7, 2, 0.5, "closure", "0x1.a70ff4a03c3f7p+21"),
+        (10**7, 5, 0.999999, "closure", "-0x1.a23385b9d6469p+4"),
+        (50, 5, 0.2, (-0.5, 0.0), "0x1.bbf25f6702d78p+4"),
+        (200, 10, 0.7, (0.0, 0.0), "0x1.2fd574f5b99a2p+4"),
+        (30, 3, 0.05, (1.0, 0.0), "0x1.c6b9abf9f0985p+4"),
+        (40, 4, 0.4, (2.0, 3.5), "0x1.2eac4808a7c0ep+3"),
+        (4, 2, 1e-20, (0.0, 0.0), "0x1.e87e1d093009bp+1"),
+        (6, 3, 1e-5, (-0.999, -0.999), "0x1.2807fc92a6ec7p+3"),
+    ]
+
+    @pytest.mark.parametrize("n, p_alt, ratio, ab, pinned", PINS)
+    def test_value_bit_for_bit(self, n, p_alt, ratio, ab, pinned):
+        if ab == "closure":
+            prior = BetaPrimePrior.for_closed_form(n, p_alt)
+        else:
+            prior = BetaPrimePrior(*ab)
+        assert float.hex(log_bf_quadrature(n, p_alt, ratio, prior)) == pinned
+
+
+def vector_step(v, x):
+    """softplus(v + x) - softplus(v) over an array, as the vector search took it."""
+    if v > 0.0:
+        return x + vector_step(-v, -x)
+    step = np.log1p(_sigmoid(v) * np.expm1(np.minimum(x, 700.0)))
+    step[x > 700.0] = np.logaddexp(0.0, v + x[x > 700.0]) - _softplus(v)
+    return step
+
+
+def reference_edges(n, p_alt, ratio, prior):
+    """The breakpoints of the vector range search, which evaluates the log
+    integrand at all 64 doublings on each side of the mode at once and
+    takes the first whose two ends are 60 below the peak. Raises as
+    log_bf_quadrature does when no doubling does, or a value overflows."""
+    alpha = (n - p_alt) / 2.0 - prior.a - prior.b - 2.0
+    beta, k, log_ratio = (n - 1) / 2.0, prior.b + 1.0, math.log(ratio)
+    name = f"beta-prime prior a={prior.a}, b={prior.b}"
+    m = log_mode(n, p_alt, ratio, prior)
+    if not math.isfinite(m):
+        raise ConvergenceError(f"cannot locate the integrand's mode under the {name}", math.nan)
+
+    def shifted(x):
+        return alpha * vector_step(m, x) - beta * vector_step(m + log_ratio, x) + k * x
+
+    curvature = beta * _sigmoid(m + log_ratio) * _sigmoid(-m - log_ratio)
+    curvature -= alpha * _sigmoid(m) * _sigmoid(-m)
+    reach = max(curvature, 1.0) ** -0.5 * 2.0 ** np.arange(64)
+    try:
+        with np.errstate(over="raise"):
+            ends = (shifted(np.concatenate([reach, -reach])) <= -60.0).reshape(2, -1)
+    except FloatingPointError:
+        raise ConvergenceError(f"quadrature overflows under the {name}", math.nan) from None
+    if not ends.all(axis=0).any():
+        raise ConvergenceError(f"quadrature did not converge under the {name}", math.nan)
+    reach = reach[: ends.all(axis=0).argmax() + 1]
+    return np.concatenate([-reach[::-1], reach])
+
+
+class Searched(Exception):
+    """Raised in place of the integration, carrying its breakpoints."""
+
+
+def search_grid():
+    """Seeded log-uniform designs, shares and priors of four kinds."""
+    rng = np.random.default_rng(20261018)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    cases = [(6, 3, 0.5, BetaPrimePrior(a=-0.5, b=b)) for b in (1e20, 1e300)]
+    for i in range(1200):
+        p_alt, r = round(log_uniform(2, 2000)), round(log_uniform(2, 50000))
+        n, ratio = p_alt * r, min(log_uniform(1e-300, 1.0), 1.0)
+        prior = [
+            lambda: BetaPrimePrior.for_closed_form(n, p_alt),
+            lambda: BetaPrimePrior.hyper_g(float(rng.choice([-0.5, 0.0, 1.0]))),
+            lambda: BetaPrimePrior(a=log_uniform(1e-3, 50) - 1.0, b=log_uniform(1e-3, 1e4) - 1.0),
+            lambda: BetaPrimePrior(a=rng.uniform(-0.9, 3.0), b=log_uniform(1e10, 1e300)),
+        ][i % 4]()
+        cases.append((n, p_alt, ratio, prior))
+    return cases
+
+
+class TestRangeSearch:
+    """The range search walks out one float at a time, and must stop at the
+    doubling the vector search over all of them takes, or raise its error."""
+
+    @staticmethod
+    def outcome(search, *args):
+        try:
+            return search(*args).tolist()
+        except Searched as searched:
+            return searched.args[0].tolist()
+        except ConvergenceError as exc:
+            return str(exc)
+
+    def test_same_doubling_or_error_as_the_vector_search(self, monkeypatch):
+        def searched(f, edges):
+            raise Searched(edges)
+
+        monkeypatch.setattr(prior_module, "integrate", searched)
+        outcomes = []
+        for case in search_grid():
+            want = self.outcome(reference_edges, *case)
+            assert self.outcome(log_bf_quadrature, *case) == want, case
+            outcomes.append(want)
+        # the grid reaches both errors and many doublings
+        name = "under the beta-prime prior a=-0.5"
+        assert outcomes[0] == f"quadrature did not converge {name}, b=1e+20"
+        assert outcomes[1] == f"quadrature overflows {name}, b=1e+300"
+        assert len({len(o) for o in outcomes if isinstance(o, list)}) >= 5
 
 
 def log_mode_reference(n, p_alt, ratio, prior):

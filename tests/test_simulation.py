@@ -1,6 +1,8 @@
 import itertools
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -589,6 +591,32 @@ class TestPartsAgreeWithOnePart:
         monkeypatch.setattr(os, "fork", fails)
         assert table_rows(cfg) == expected
         no_children()
+
+    def test_a_part_loads_no_module_anew(self, child_env):
+        # a fresh interpreter, so that no other test has loaded a module first;
+        # each part reports the modules it loaded that the parent had not
+        # loaded when it forked
+        script = """
+import sys
+from anovabf import simulation
+from anovabf._parallel import map_parts
+from anovabf.bayes_factors import Model
+
+cfg = simulation.SimulationConfig(
+    model=Model.FACTOR_A, p_list=(3,), r_list=(2,), replications=20000, seed=1
+)
+loaded = set(sys.modules)
+
+def part(cfg, part):
+    simulation._part_hits(cfg, part)
+    return sorted(set(sys.modules) - loaded)
+
+print(list(map_parts(part, [(cfg, part) for part in simulation._parts(cfg, 2)])))
+"""
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env, check=True
+        )
+        assert run.stdout == "[[], []]\n"
 
     def test_children_reaped_when_this_part_raises(self, parts, forks, no_children, monkeypatch):
         parent, hits = os.getpid(), simulation._alternative_hits
