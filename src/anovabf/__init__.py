@@ -46,7 +46,7 @@ _EXPORTED_BY = {
         "DomainError",
         "ParseError",
     ),
-    "numerics": ("Regime", "integrate", "log_beta", "log_gamma"),
+    "numerics": ("Regime", "integrate", "log_beta"),
     "prior": ("BetaPrimePrior", "beta_prime_log_density", "bf_quadrature", "log_bf_quadrature"),
     "simulation": (
         "FrequencyTable",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .bayes_factors import Criterion, Model
 from .errors import DomainError, require_finite
-from .numerics import Regime, log_gamma
+from .numerics import Regime
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def limit_we_wt(
 
 def _log_c_fb(p: int) -> float:
     # (p/2)^{-(p-1)/2} Gamma(p/2) / Gamma(1/2), in log space
-    return -((p - 1) / 2.0) * math.log(p / 2.0) + log_gamma(p / 2.0) - log_gamma(0.5)
+    return -((p - 1) / 2.0) * math.log(p / 2.0) + math.lgamma(p / 2.0) - math.lgamma(0.5)
 
 
 def _log_c_bic(p: int) -> float:

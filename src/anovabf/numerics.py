@@ -1,5 +1,5 @@
-"""Special-function numerics: log-gamma, log-beta, batched adaptive
-Gauss-Kronrod quadrature, and the design regimes of the large-sample analysis."""
+"""Special-function numerics: log-beta, batched adaptive Gauss-Kronrod
+quadrature, and the design regimes of the large-sample analysis."""
 
 from __future__ import annotations
 
@@ -45,13 +45,6 @@ class Regime(enum.Enum):
 
     MANY_REPLICATIONS = "many-replications"
     MANY_LEVELS = "many-levels"
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if not x > 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def log_beta(a: float, b: float) -> float:

@@ -10,7 +10,9 @@ is found one float at a time: segments double in length away from the
 mode until the log integrand at both ends has fallen _TAIL_DROP below
 the peak, within a few doublings for most designs. The scalar steps take
 the same cancellation-free arithmetic as the array steps of the
-integration.
+integration. On the closed-form manifold the first of the integrand's two
+softplus terms has coefficient exactly 0.0, so only the second is
+evaluated, to the same bits.
 """
 
 from __future__ import annotations
@@ -97,17 +99,23 @@ def _sigmoid(u: float) -> float:
     return math.exp(u - _softplus(u))
 
 
-def _softplus_step(v: float, x: np.ndarray) -> np.ndarray:
-    """softplus(v + x) - softplus(v) for an array x, without cancellation near x = 0.
+def _softplus_step(v: float, x: np.ndarray, reach: float) -> np.ndarray:
+    """softplus(v + x) - softplus(v) for an array x in [-reach, reach], without
+    cancellation near x = 0.
 
     For v <= 0 this is log1p(sigmoid(v) * expm1(x)), whose argument stays above
     -1/2, or past x = 700, where expm1 overflows, the plain difference; for
-    v > 0 it is the mirror x + step(-v, -x)."""
+    v > 0 it is the mirror x + step(-v, -x). Only a reach above 700 can put a
+    node past 700, so only then are the nodes compared with it."""
     if v > 0.0:
-        return x + _softplus_step(-v, -x)
+        step = _softplus_step(-v, -x, reach)
+        step += x
+        return step
+    if reach <= 700.0:
+        step = np.expm1(x)
+        step *= _sigmoid(v)
+        return np.log1p(step, out=step)
     far = x > 700.0
-    if not far.any():
-        return np.log1p(_sigmoid(v) * np.expm1(x))
     step = np.log1p(_sigmoid(v) * np.expm1(np.minimum(x, 700.0)))
     step[far] = np.logaddexp(0.0, v + x[far]) - _softplus(v)
     return step
@@ -160,6 +168,10 @@ def _doublings(shifted_at: Callable[[float], float], width: float, size: float) 
     raise ConvergenceError("no doubling reaches the tails", math.nan)
 
 
+def _name(prior: BetaPrimePrior) -> str:
+    return f"beta-prime prior a={prior.a}, b={prior.b}"
+
+
 def log_bf_quadrature(n: int, p_alt: int, ratio: float, prior: BetaPrimePrior) -> float:
     """log Bayes factor by numerical integration over u = log g.
 
@@ -172,38 +184,62 @@ def log_bf_quadrature(n: int, p_alt: int, ratio: float, prior: BetaPrimePrior) -
     in length away from m until it is _TAIL_DROP below the peak on both
     sides (:func:`_doublings`, one float at a time); the log of that
     integral is added back to the peak.
+
+    Under :meth:`BetaPrimePrior.for_closed_form`, alpha is exactly 0.0, and
+    the alpha term is left out of the peak, the curvature, the range search
+    and the integrand; each of those is then the same float it would be with
+    the term. Other priors keep it.
     """
     _check_bf_args(n, p_alt, ratio)
     alpha = (n - p_alt) / 2.0 - prior.a - prior.b - 2.0
     beta, k, log_ratio = (n - 1) / 2.0, prior.b + 1.0, math.log(ratio)
-    name = f"beta-prime prior a={prior.a}, b={prior.b}"
     m = _log_mode(alpha, beta, k, (p_alt - 1) / 2.0 + prior.a + 1.0, ratio)
     if not math.isfinite(m):
-        raise ConvergenceError(f"cannot locate the integrand's mode under the {name}", math.nan)
-    peak = alpha * _softplus(m) - beta * _softplus(m + log_ratio) + k * m
+        message = f"cannot locate the integrand's mode under the {_name(prior)}"
+        raise ConvergenceError(message, math.nan)
+    v = m + log_ratio
+    step_v = _step_at(v)
+    curvature = beta * _sigmoid(v) * _sigmoid(-v)
+    if alpha == 0.0:
+        # the closed-form prior's b makes alpha exactly 0.0, and its term then
+        # adds nothing: k*x - beta*S is the same float as (0*A - beta*S) + k*x
+        peak = k * m - beta * _softplus(v)
 
-    def shifted(x: np.ndarray) -> np.ndarray:
-        return alpha * _softplus_step(m, x) - beta * _softplus_step(m + log_ratio, x) + k * x
+        def shifted_at(x: float) -> float:
+            return k * x - beta * step_v(x)
 
-    step_m, step_ml = _step_at(m), _step_at(m + log_ratio)
+        def shifted(x: np.ndarray, reach: float) -> np.ndarray:
+            return k * x - beta * _softplus_step(v, x, reach)
 
-    def shifted_at(x: float) -> float:
-        return alpha * step_m(x) - beta * step_ml(x) + k * x
+    else:
+        peak = alpha * _softplus(m) - beta * _softplus(v) + k * m
+        curvature -= alpha * _sigmoid(m) * _sigmoid(-m)
+        step_m = _step_at(m)
+
+        def shifted_at(x: float) -> float:
+            return alpha * step_m(x) - beta * step_v(x) + k * x
+
+        def shifted(x: np.ndarray, reach: float) -> np.ndarray:
+            return alpha * _softplus_step(m, x, reach) - beta * _softplus_step(v, x, reach) + k * x
 
     # the segments start at the peak's width, capped at 1 so that a long flat
     # stretch next to a sharp mode is still resolved
-    curvature = beta * _sigmoid(m + log_ratio) * _sigmoid(-m - log_ratio)
-    curvature -= alpha * _sigmoid(m) * _sigmoid(-m)
     width = max(curvature, 1.0) ** -0.5
     try:
         j = _doublings(shifted_at, width, abs(alpha) + beta + k)
         edges = width * _EDGES[_DOUBLINGS - j : _DOUBLINGS + j]
+        reach = float(edges[-1])
+
+        def integrand(x: np.ndarray) -> np.ndarray:
+            values = shifted(x, reach)
+            return np.exp(values, out=values)
+
         with np.errstate(over="raise"):
-            mass = integrate(lambda x: np.exp(shifted(x)), edges)
+            mass = integrate(integrand, edges)
     except (FloatingPointError, ConvergenceError) as exc:
         # one line names the prior, whatever failed
         failure = "overflows" if isinstance(exc, FloatingPointError) else "did not converge"
-        raise ConvergenceError(f"quadrature {failure} under the {name}", math.nan) from None
+        raise ConvergenceError(f"quadrature {failure} under the {_name(prior)}", math.nan) from None
     return peak - log_beta(prior.a + 1.0, k) + math.log(mass)
 
 

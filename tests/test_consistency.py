@@ -6,6 +6,7 @@ import pytest
 from anovabf.bayes_factors import Criterion, Model, log_bf_fb_one_way
 from anovabf.consistency import (
     EffectSizes,
+    _log_c_fb,
     asymptotic_log_bf,
     h_threshold,
     limit_we_wt,
@@ -18,6 +19,23 @@ from anovabf.sums_of_squares import OneWaySS
 
 H_5 = 0.495348781221220541911898994141
 H_10 = 0.291549665014883875410075546472
+LOG_PI = 1.14472988584940017414342735135
+LOG_GAMMA_HALF = 0.572364942924700087071713675677
+LOG_9_FACTORIAL = 12.8018274800814696112077178746
+
+
+def factorial_log_gamma(x):
+    """ln Gamma at integer or half-integer x from exact factorials."""
+    if x == int(x):
+        return math.log(math.factorial(int(x) - 1))
+    m = int(x - 0.5)
+    # Gamma(m + 1/2) = (2m)! sqrt(pi) / (4^m m!)
+    return (
+        math.log(math.factorial(2 * m))
+        - math.log(math.factorial(m))
+        - 2 * m * math.log(2.0)
+        + 0.5 * LOG_PI
+    )
 
 
 class TestEffectSizes:
@@ -254,6 +272,37 @@ class TestBridgeToExact:
         exact = log_bf_fb_one_way(ss, p, r)
         asym = asymptotic_log_bf(Criterion.FB, Regime.MANY_LEVELS, truth, p, r, c_a).value
         assert abs(asym - exact) / abs(exact) < 0.02
+
+
+class TestLogCFb:
+    """ln Gamma(p/2) and ln Gamma(1/2) as _log_c_fb(p) takes them."""
+
+    @staticmethod
+    def reference(p, log_gamma_p_half):
+        return -((p - 1) / 2.0) * math.log(p / 2.0) + log_gamma_p_half - LOG_GAMMA_HALF
+
+    def test_at_one(self):
+        # p = 2: ln Gamma(1) adds exactly nothing
+        assert _log_c_fb(2) + math.lgamma(0.5) == 0.0
+
+    def test_at_half(self):
+        np.testing.assert_allclose(_log_c_fb(2), -LOG_GAMMA_HALF, rtol=1e-14)
+
+    def test_at_ten(self):
+        np.testing.assert_allclose(_log_c_fb(20), self.reference(20, LOG_9_FACTORIAL), rtol=1e-14)
+
+    # x = p/2; x = 1/2 (p = 1) is no design, and ln Gamma(1/2) is test_at_half's
+    @pytest.mark.parametrize(
+        "x",
+        [float(k) for k in list(range(2, 61)) + [100, 200, 500, 1000, 2000]]
+        + [m + 0.5 for m in list(range(1, 61)) + [100, 300]],
+    )
+    def test_against_factorial_oracle(self, x):
+        ref = factorial_log_gamma(x)
+        # the absolute target is capped below by the representation's own
+        # granularity at the magnitude of ln Gamma(x)
+        tol = max(1e-12, 8 * math.ulp(abs(ref)))
+        assert abs(_log_c_fb(round(2 * x)) - self.reference(round(2 * x), ref)) <= tol
 
 
 class TestPredictionGap:

@@ -12,6 +12,7 @@ from anovabf.prior import (
     _log_mode,
     _sigmoid,
     _softplus,
+    _softplus_step,
     beta_prime_log_density,
     bf_quadrature,
     log_bf_quadrature,
@@ -191,6 +192,21 @@ class TestBitPins:
             prior = BetaPrimePrior(*ab)
         assert float.hex(log_bf_quadrature(n, p_alt, ratio, prior)) == pinned
 
+    # the closed-form prior with a != -1/2, as recorded before the integrand
+    # left out its alpha term, which is 0.0 for every a
+    CLOSED_FORM_PINS = [
+        (60, 4, 0.25, 0.0, "0x1.059fecc5d1a07p+5"),
+        (10**6, 3, 0.999, 0.0, "0x1.e72013ffce55fp+8"),
+        (8, 2, 0.6, 1.0, "0x1.269621134db90p-2"),
+        (500, 20, 0.8, 1.0, "0x1.12afd897a3036p+4"),
+        (10**7, 2, 0.01, 1.0, "0x1.5f58a5afc78d2p+24"),
+    ]
+
+    @pytest.mark.parametrize("n, p_alt, ratio, a, pinned", CLOSED_FORM_PINS)
+    def test_closed_form_a_bit_for_bit(self, n, p_alt, ratio, a, pinned):
+        prior = BetaPrimePrior.for_closed_form(n, p_alt, a)
+        assert float.hex(log_bf_quadrature(n, p_alt, ratio, prior)) == pinned
+
 
 def vector_step(v, x):
     """softplus(v + x) - softplus(v) over an array, as the vector search took it."""
@@ -228,6 +244,23 @@ def reference_edges(n, p_alt, ratio, prior):
         raise ConvergenceError(f"quadrature did not converge under the {name}", math.nan)
     reach = reach[: ends.all(axis=0).argmax() + 1]
     return np.concatenate([-reach[::-1], reach])
+
+
+class TestSoftplusStep:
+    @pytest.mark.parametrize("v", [-3.7, -1e-300, 0.0, 2.5, 40.0])
+    @pytest.mark.parametrize("reach", [0.75, 64.0, 700.0])
+    def test_reach_within_700_skips_the_fix_up_bit_for_bit(self, v, reach):
+        # no node within the reach is past 700, so the step needs no mask;
+        # v > 0 takes the mirror, whose -x is within the reach too
+        x = np.random.default_rng(20261019).uniform(-reach, reach, size=(21, 8))
+        x[0, :2] = -reach, reach
+        assert _softplus_step(v, x, reach).tolist() == vector_step(v, x).tolist()
+
+    @pytest.mark.parametrize("v", [-3.7, 0.0, 2.5])
+    def test_reach_past_700_keeps_the_fix_up(self, v):
+        x = np.random.default_rng(20261019).uniform(-2e4, 2e4, size=(21, 8))
+        assert (np.abs(x) > 700.0).any() and np.isfinite(vector_step(v, x)).all()
+        assert _softplus_step(v, x, 2e4).tolist() == vector_step(v, x).tolist()
 
 
 class Searched(Exception):
@@ -283,6 +316,31 @@ class TestRangeSearch:
         assert outcomes[0] == f"quadrature did not converge {name}, b=1e+20"
         assert outcomes[1] == f"quadrature overflows {name}, b=1e+300"
         assert len({len(o) for o in outcomes if isinstance(o, list)}) >= 5
+
+
+class TestClosedFormCoefficient:
+    def test_alpha_is_exactly_zero(self, monkeypatch):
+        # the quadrature leaves out the alpha*softplus(u) term only when alpha
+        # is 0.0: were it a rounding away, every closed-form check would
+        # still pass, on the slower integrand of the general prior
+        def caught(alpha, *args):
+            raise Searched(alpha)
+
+        monkeypatch.setattr(prior_module, "_log_mode", caught)
+        rng = np.random.default_rng(20261019)
+        alphas = []
+        for _ in range(2000):
+            p_alt = round(math.exp(rng.uniform(math.log(2), math.log(2000))))
+            n = p_alt * round(math.exp(rng.uniform(math.log(2), math.log(50000))))
+            a = float(rng.choice([-0.5, 0.0, 0.3, 1.0]))
+            if (n - p_alt) / 2.0 <= a + 1.0:  # b <= -1: no proper prior
+                continue
+            try:
+                log_bf_quadrature(n, p_alt, 0.5, BetaPrimePrior.for_closed_form(n, p_alt, a))
+            except Searched as searched:
+                alphas.append((n, p_alt, a, searched.args[0]))
+        assert len(alphas) > 1900 and max(n for n, *_ in alphas) > 5e7
+        assert [case for case in alphas if case[-1] != 0.0] == []
 
 
 def log_mode_reference(n, p_alt, ratio, prior):
