@@ -135,9 +135,12 @@ def _cmd_bf(args: argparse.Namespace) -> tuple[str, str, dict, None]:
 
 def _cmd_oracle_check(args: argparse.Namespace) -> tuple[str, str, dict, None]:
     from .bayes_factors import log_bfs
-    from .prior import BetaPrimePrior, log_bf_quadrature
+    from .prior import BetaPrimePrior, _check_bf_args, log_bf_quadrature
 
     n = args.p * args.r
+    # checked before any prior is built, so that a bad design is named, not
+    # the improper prior for_closed_form would make of it
+    _check_bf_args(n, args.p, args.ratio)
     closure = BetaPrimePrior.for_closed_form(n, args.p)
     a = closure.a if args.a is None else args.a
     if args.b is None:
@@ -146,7 +149,6 @@ def _cmd_oracle_check(args: argparse.Namespace) -> tuple[str, str, dict, None]:
         prior = BetaPrimePrior(a=a, b=args.b)
     on_closure = prior.a == closure.a and abs(prior.b - closure.b) < 1e-12
 
-    # the quadrature checks the design and the ratio, so it runs first
     log_quad = log_bf_quadrature(n, args.p, args.ratio, prior)
     log_closed, _ = log_bfs(n, args.p, args.ratio)
     if on_closure:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .bayes_factors import Criterion, Model
-from .errors import DomainError, require_finite
+from .errors import DomainError, require_double, require_finite
 from .numerics import Regime
 
 
@@ -88,6 +88,7 @@ def h_threshold(r: int) -> float:
     """
     if r < 2:
         raise DomainError(f"need r >= 2, got {r}")
+    require_double("replication count", r=r)
     return r ** (1.0 / (r - 1)) - 1.0
 
 
@@ -101,6 +102,7 @@ def two_way_consistency_window(r: int, e: EffectSizes) -> ConsistencyWindow:
     """
     if r < 2:
         raise DomainError(f"need r >= 2, got {r}")
+    require_double("replication count", r=r)
     lower = r ** (1.0 / (r - 1))
     signal = 1.0 + e.c_a + e.c_b + e.c_ab
     try:

@@ -43,3 +43,14 @@ def require_finite(owner: str, **fields: float) -> None:
     for name, value in fields.items():
         if not math.isfinite(value):
             raise DomainError(f"{owner} {name} must be finite, got {value}")
+
+
+def require_double(owner: str, **counts: int) -> None:
+    """Raise :class:`DomainError` naming the first count too large for a
+    double, on which float arithmetic would raise OverflowError."""
+    for name, value in counts.items():
+        try:
+            float(value)
+        except OverflowError:
+            bits = value.bit_length()
+            raise DomainError(f"{owner} {name} must fit a double, got a {bits}-bit integer") from None

@@ -8,11 +8,10 @@ closed-form manifold (the hyper-g case is b = 0). The integrand's mode
 is in closed form, so no root search is involved. The integration range
 is found one float at a time: segments double in length away from the
 mode until the log integrand at both ends has fallen _TAIL_DROP below
-the peak, within a few doublings for most designs. The scalar steps take
-the same cancellation-free arithmetic as the array steps of the
-integration. On the closed-form manifold the first of the integrand's two
-softplus terms has coefficient exactly 0.0, so only the second is
-evaluated, to the same bits.
+the peak, within a few doublings for most designs, by the same
+cancellation-free step (:class:`_Step`) as the integration. On the
+closed-form manifold the first of the integrand's two softplus terms has
+coefficient exactly 0.0, so only the second is evaluated, to the same bits.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, require_finite
+from .errors import ConvergenceError, DomainError, require_double, require_finite
 from .numerics import integrate, log_beta
 
 # The integration range ends where the log integrand is this far below its
@@ -86,6 +85,7 @@ def _check_bf_args(n: int, p_alt: int, ratio: float) -> None:
         raise DomainError(f"alternative needs at least 2 mean parameters, got {p_alt}")
     if n <= p_alt:
         raise DomainError(f"need n > p_alt, got n={n}, p_alt={p_alt}")
+    require_double("observation count", n=n)
     if not (0.0 < ratio <= 1.0):
         raise DomainError(f"sums-of-squares ratio must be in (0, 1], got {ratio}")
 
@@ -99,40 +99,45 @@ def _sigmoid(u: float) -> float:
     return math.exp(u - _softplus(u))
 
 
-def _softplus_step(v: float, x: np.ndarray, reach: float) -> np.ndarray:
-    """softplus(v + x) - softplus(v) for an array x in [-reach, reach], without
-    cancellation near x = 0.
+class _Step:
+    """x -> softplus(v + x) - softplus(v) without cancellation near x = 0, at
+    one float (the range search) or over an array (the integrand).
 
-    For v <= 0 this is log1p(sigmoid(v) * expm1(x)), whose argument stays above
-    -1/2, or past x = 700, where expm1 overflows, the plain difference; for
-    v > 0 it is the mirror x + step(-v, -x). Only a reach above 700 can put a
-    node past 700, so only then are the nodes compared with it."""
-    if v > 0.0:
-        step = _softplus_step(-v, -x, reach)
-        step += x
-        return step
-    if reach <= 700.0:
-        step = np.expm1(x)
-        step *= _sigmoid(v)
-        return np.log1p(step, out=step)
-    far = x > 700.0
-    step = np.log1p(_sigmoid(v) * np.expm1(np.minimum(x, 700.0)))
-    step[far] = np.logaddexp(0.0, v + x[far]) - _softplus(v)
-    return step
-
-
-def _step_at(v: float) -> Callable[[float], float]:
-    """softplus(v + x) - softplus(v) as a function of one float x, by the
-    arithmetic of :func:`_softplus_step`.
-
-    The plain difference softplus(v + x) - softplus(v) is not a substitute:
-    when the log integrand's coefficients are huge it cancels to values that
+    Built once per v, it holds the mirror flag v > 0 and the softplus and
+    sigmoid of w = -|v|. For v <= 0 the step is log1p(sigmoid(v) * expm1(x)),
+    whose argument stays above -1/2, or past x = 700, where expm1 overflows,
+    the plain difference; for v > 0 it is the mirror x + step(-v, -x). Near
+    0 the plain difference cancels, for huge coefficients to values that
     end the range search where the integrand is noise."""
-    if v > 0.0:
-        mirror = _step_at(-v)
-        return lambda x: x + mirror(-x)
-    weight, base = _sigmoid(v), _softplus(v)
-    return lambda x: _softplus(v + x) - base if x > 700.0 else math.log1p(weight * math.expm1(x))
+
+    def __init__(self, v: float):
+        self.mirror, self.w = v > 0.0, -abs(v)
+        self.base = _softplus(self.w)
+        self.weight = math.exp(self.w - self.base)  # _sigmoid(w)
+
+    def at(self, x: float) -> float:
+        y = -x if self.mirror else x
+        if y > 700.0:
+            step = _softplus(self.w + y) - self.base
+        else:
+            step = math.log1p(self.weight * math.expm1(y))
+        return x + step if self.mirror else step
+
+    def over(self, x: np.ndarray, reach: float) -> np.ndarray:
+        """A new array of steps at x in [-reach, reach]. Only a reach above
+        700 can put a node past 700, so only then are the nodes compared."""
+        y = -x if self.mirror else x
+        if reach <= 700.0:
+            step = np.expm1(y)
+            step *= self.weight
+            np.log1p(step, out=step)
+        else:
+            step = np.log1p(self.weight * np.expm1(np.minimum(y, 700.0)))
+            far = y > 700.0
+            step[far] = np.logaddexp(0.0, self.w + y[far]) - self.base
+        if self.mirror:
+            step += x
+        return step
 
 
 def _log_mode(alpha: float, beta: float, k: float, c: float, ratio: float) -> float:
@@ -198,29 +203,20 @@ def log_bf_quadrature(n: int, p_alt: int, ratio: float, prior: BetaPrimePrior) -
         message = f"cannot locate the integrand's mode under the {_name(prior)}"
         raise ConvergenceError(message, math.nan)
     v = m + log_ratio
-    step_v = _step_at(v)
+    step_v = _Step(v)
+    peak = -beta * _softplus(v)
     curvature = beta * _sigmoid(v) * _sigmoid(-v)
-    if alpha == 0.0:
-        # the closed-form prior's b makes alpha exactly 0.0, and its term then
-        # adds nothing: k*x - beta*S is the same float as (0*A - beta*S) + k*x
-        peak = k * m - beta * _softplus(v)
-
-        def shifted_at(x: float) -> float:
-            return k * x - beta * step_v(x)
-
-        def shifted(x: np.ndarray, reach: float) -> np.ndarray:
-            return k * x - beta * _softplus_step(v, x, reach)
-
-    else:
-        peak = alpha * _softplus(m) - beta * _softplus(v) + k * m
+    if alpha:
+        step_m = _Step(m)
+        peak += alpha * _softplus(m)
         curvature -= alpha * _sigmoid(m) * _sigmoid(-m)
-        step_m = _step_at(m)
+    peak += k * m
 
-        def shifted_at(x: float) -> float:
-            return alpha * step_m(x) - beta * step_v(x) + k * x
-
-        def shifted(x: np.ndarray, reach: float) -> np.ndarray:
-            return alpha * _softplus_step(m, x, reach) - beta * _softplus_step(v, x, reach) + k * x
+    def shifted_at(x: float) -> float:
+        value = -beta * step_v.at(x)
+        if alpha:
+            value += alpha * step_m.at(x)
+        return value + k * x
 
     # the segments start at the peak's width, capped at 1 so that a long flat
     # stretch next to a sharp mode is still resolved
@@ -231,7 +227,11 @@ def log_bf_quadrature(n: int, p_alt: int, ratio: float, prior: BetaPrimePrior) -
         reach = float(edges[-1])
 
         def integrand(x: np.ndarray) -> np.ndarray:
-            values = shifted(x, reach)
+            values = step_v.over(x, reach)
+            values *= -beta
+            if alpha:
+                values += alpha * step_m.over(x, reach)
+            values += k * x
             return np.exp(values, out=values)
 
         with np.errstate(over="raise"):

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from anovabf import datasets, simulation
-from anovabf.cli import run, write_csv
+from anovabf.cli import _jsonify, run, write_csv
 from anovabf.datasets import ONE_WAY_HEADER, TWO_WAY_HEADER
+from anovabf.errors import DomainError
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -185,6 +186,23 @@ class TestRuntimeErrors:
                 "replication 0 at (p=3, r=2, seed=0) has a sum of squares that is not finite"
                 " (c_a=1e+308)",
             ),
+            (
+                ["consistency", "h", "--r", str(10**400)],
+                "replication count r must fit a double, got a 1329-bit integer",
+            ),
+            (
+                ["consistency", "two-way", "--r", str(10**400)],
+                "replication count r must fit a double, got a 1329-bit integer",
+            ),
+            (
+                ["oracle", "check", "--p", str(10**400), "--r", "2", "--ratio", "0.5"],
+                "observation count n must fit a double, got a 1330-bit integer",
+            ),
+            (
+                # the design, not the prior built from it, is at fault
+                ["oracle", "check", "--p", "3", "--r", "1", "--ratio", "0.5"],
+                "need n > p_alt, got n=3, p_alt=3",
+            ),
         ],
         ids=[
             "oracle-b-1e20",
@@ -195,6 +213,10 @@ class TestRuntimeErrors:
             "simulate-cell-2**80",
             "simulate-ca-1e308",
             "simulate-second-ca-1e308",
+            "consistency-h-r-10**400",
+            "consistency-two-way-r-10**400",
+            "oracle-p-10**400",
+            "oracle-n-equals-p",
         ],
     )
     def test_single_error_line(self, argv, message, capsys, recwarn):
@@ -203,6 +225,10 @@ class TestRuntimeErrors:
         assert err.startswith("error:") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not recwarn.list
+
+    def test_nan_refused_on_output(self):
+        with pytest.raises(DomainError, match="refusing to emit NaN"):
+            _jsonify({"report": [1.0, math.nan]})
 
 
 class TestBayesFactorCommand:
@@ -361,6 +387,11 @@ class TestConsistencyCommand:
             capsys, ["consistency", "mse-gap", "--p", "2", "--r", "2", "--effect", "1"]
         )
         assert doc["gap"] == 0.75
+
+    def test_mse_gap_past_a_double(self, capsys):
+        # (p - 1)/(p*r) is an exact integer division, so no count overflows
+        argv = ["consistency", "mse-gap", "--p", str(10**400), "--r", "2", "--effect", "1"]
+        assert run_json(capsys, argv)["gap"] == 0.5
 
 
 class TestSimulateCommand:

@@ -12,7 +12,7 @@ from anovabf.prior import (
     _log_mode,
     _sigmoid,
     _softplus,
-    _softplus_step,
+    _Step,
     beta_prime_log_density,
     bf_quadrature,
     log_bf_quadrature,
@@ -104,6 +104,19 @@ class TestQuadrature:
         off = bf_quadrature(10, 3, 0.5, BetaPrimePrior.hyper_g())
         assert on > 0 and off > 0
         assert abs(on - off) / on > 1e-3
+
+    @pytest.mark.parametrize(
+        "n, p_alt, message",
+        [
+            (5, 1, "alternative needs at least 2 mean parameters, got 1"),
+            (3, 3, "need n > p_alt, got n=3, p_alt=3"),
+            (10**400, 2, "observation count n must fit a double, got a 1329-bit integer"),
+        ],
+        ids=["one-mean", "n-equals-p", "n-past-a-double"],
+    )
+    def test_design_rejected(self, n, p_alt, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            log_bf_quadrature(n, p_alt, 0.5, BetaPrimePrior.hyper_g())
 
 
 def log_bf_hyper_g(n, p_alt, ratio, a):
@@ -246,7 +259,7 @@ def reference_edges(n, p_alt, ratio, prior):
     return np.concatenate([-reach[::-1], reach])
 
 
-class TestSoftplusStep:
+class TestStep:
     @pytest.mark.parametrize("v", [-3.7, -1e-300, 0.0, 2.5, 40.0])
     @pytest.mark.parametrize("reach", [0.75, 64.0, 700.0])
     def test_reach_within_700_skips_the_fix_up_bit_for_bit(self, v, reach):
@@ -254,13 +267,30 @@ class TestSoftplusStep:
         # v > 0 takes the mirror, whose -x is within the reach too
         x = np.random.default_rng(20261019).uniform(-reach, reach, size=(21, 8))
         x[0, :2] = -reach, reach
-        assert _softplus_step(v, x, reach).tolist() == vector_step(v, x).tolist()
+        assert _Step(v).over(x, reach).tolist() == vector_step(v, x).tolist()
 
     @pytest.mark.parametrize("v", [-3.7, 0.0, 2.5])
     def test_reach_past_700_keeps_the_fix_up(self, v):
         x = np.random.default_rng(20261019).uniform(-2e4, 2e4, size=(21, 8))
         assert (np.abs(x) > 700.0).any() and np.isfinite(vector_step(v, x)).all()
-        assert _softplus_step(v, x, 2e4).tolist() == vector_step(v, x).tolist()
+        assert _Step(v).over(x, 2e4).tolist() == vector_step(v, x).tolist()
+
+    @pytest.mark.parametrize("v", [-40.0, -3.7, -1e-300, 0.0, 2.5, 40.0])
+    @pytest.mark.parametrize("reach", [0.75, 64.0, 699.0, 700.0, 701.0, 2e4])
+    def test_one_float_and_an_array_agree(self, v, reach):
+        # the range search takes the step one float at a time, the integrand
+        # over an array, by the same arithmetic on both sides of 700 and of
+        # the mirror. numpy's vectorised expm1 may round apart from libm's
+        # (with numpy 2.4 on an AVX-512 CPU, np.expm1(0.75) is an ulp below
+        # math.expm1(0.75)), so the two agree to rounding: within 4 ulps of
+        # the larger of the step and |x|, the size of the mirror's terms
+        sizes = [0.0, 1e-12, 0.75, 64.0, 699.0, 700.0, 701.0, 2e4]
+        x = np.array([s * d for d in sizes if d <= reach for s in (1.0, -1.0)])
+        step = _Step(v)
+        got, want = step.over(x, reach), np.array([step.at(node) for node in x.tolist()])
+        assert np.isfinite(want).all() and (got[x == 0.0] == 0.0).all()
+        eps = np.finfo(float).eps
+        assert (np.abs(got - want) <= 4 * eps * np.maximum(np.abs(want), np.abs(x))).all()
 
 
 class Searched(Exception):
