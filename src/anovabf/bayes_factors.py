@@ -64,9 +64,13 @@ def _check_design(p: int, r: int) -> None:
 
 def _log_share(ratio: float) -> float:
     """Log of a residual share clamped into [0, 1]; a share of 0 gives -inf."""
+    if ratio >= 1.0:
+        return 0.0
+    if ratio > 0.0:
+        return math.log(ratio)
     if ratio <= 0.0:
         return -INF
-    return 0.0 if ratio >= 1.0 else math.log(ratio)
+    raise DomainError("residual share is NaN")
 
 
 def _log_bf_fb_kernel(n: int, s1: int, log_ratio):
@@ -96,8 +100,9 @@ def log_bfs(n: int, s1: int, ratio):
 
     ``ratio`` is the alternative's residual share of the total sum of
     squares: a float, or an array of shares scored element by element.
-    Shares are clamped into [0, 1], and each is logged with ``math.log``,
-    so a batch gives its elements' factors bit for bit.
+    Shares are clamped into [0, 1], a NaN one raises :class:`DomainError`,
+    and each is logged with ``math.log``, so a batch gives its elements'
+    factors bit for bit.
     """
     if not 0 < s1 < n:
         raise DomainError(f"need 0 < s1 < n, got n={n}, s1={s1}")
@@ -186,10 +191,7 @@ def log_bf_fb_one_way(ss: OneWaySS, p: int, r: int) -> float:
     total = unit.w_e + unit.w_h
     if total == 0.0:
         raise DegenerateDataError("total sum of squares is zero")
-    log_fb = _log_bf_fb_kernel(p * r, p, _log_share(unit.w_e / total))
-    if math.isnan(log_fb):
-        raise DomainError("log Bayes factor is NaN")
-    return log_fb
+    return _log_bf_fb_kernel(p * r, p, _log_share(unit.w_e / total))
 
 
 def _two_way_fits(p: int, q: int) -> dict[Model, tuple[int, tuple[str, ...]]]:

@@ -78,6 +78,22 @@ def _check_counts(p: int, r: int) -> None:
         raise DomainError(f"need p >= 2 and r >= 2, got p={p}, r={r}")
 
 
+def _check_truth(truth: Model, c_a: float) -> None:
+    if truth not in (Model.NULL, Model.FACTOR_A):
+        raise DomainError(f"truth must be the null or the one-way alternative, got {truth!r}")
+    require_finite("effect size", c_a=c_a)
+    if c_a < 0:
+        raise DomainError(f"effect size must be nonnegative, got {c_a}")
+
+
+def _root_of(r: int) -> float:
+    """r**(1/(r-1)), for a replication count r >= 2 that fits a double."""
+    if r < 2:
+        raise DomainError(f"need r >= 2, got {r}")
+    require_double("replication count", r=r)
+    return r ** (1.0 / (r - 1))
+
+
 def h_threshold(r: int) -> float:
     """Effect-size threshold r**(1/(r-1)) - 1 for the level-limit regime.
 
@@ -86,10 +102,7 @@ def h_threshold(r: int) -> float:
     the standardized effect exceeds this value. Decreasing in r; equals
     1 at r = 2 and tends to 0.
     """
-    if r < 2:
-        raise DomainError(f"need r >= 2, got {r}")
-    require_double("replication count", r=r)
-    return r ** (1.0 / (r - 1)) - 1.0
+    return _root_of(r) - 1.0
 
 
 def two_way_consistency_window(r: int, e: EffectSizes) -> ConsistencyWindow:
@@ -100,10 +113,7 @@ def two_way_consistency_window(r: int, e: EffectSizes) -> ConsistencyWindow:
     r**(1/(r-1)) < 1 + c_a + c_b + c_ab < (1 + c_ab)**r / r,
     both inequalities strict; boundary cases count as inconsistent.
     """
-    if r < 2:
-        raise DomainError(f"need r >= 2, got {r}")
-    require_double("replication count", r=r)
-    lower = r ** (1.0 / (r - 1))
+    lower = _root_of(r)
     signal = 1.0 + e.c_a + e.c_b + e.c_ab
     try:
         upper = (1.0 + e.c_ab) ** r / r
@@ -134,18 +144,17 @@ def limit_we_wt(
     null with replications growing the ratio stays random and a
     descriptor of its law is returned instead.
     """
-    if truth not in (Model.NULL, Model.FACTOR_A):
-        raise DomainError(f"truth must be the null or the one-way alternative, got {truth!r}")
-    if c_a < 0:
-        raise DomainError(f"effect size must be nonnegative, got {c_a}")
+    _check_truth(truth, c_a)
     if regime is Regime.MANY_LEVELS:
         if r is None or r < 2:
             raise DomainError("levels-growing regime needs fixed r >= 2")
+        require_double("replication count", r=r)
         if truth is Model.NULL:
             return RatioLimit(value=1.0 - 1.0 / r)
         return RatioLimit(value=(1.0 - 1.0 / r) / (1.0 + c_a))
     if p is None or p < 2:
         raise DomainError("replications-growing regime needs fixed p >= 2")
+    require_double("level count", p=p)
     if truth is Model.FACTOR_A:
         return RatioLimit(value=1.0 / (1.0 + c_a))
     return RatioLimit(
@@ -185,10 +194,8 @@ def asymptotic_log_bf(
     h_threshold(r), while the BIC trajectory sinks for every effect size.
     """
     _check_counts(p, r)
-    if truth not in (Model.NULL, Model.FACTOR_A):
-        raise DomainError(f"truth must be the null or the one-way alternative, got {truth!r}")
-    if c_a < 0:
-        raise DomainError(f"effect size must be nonnegative, got {c_a}")
+    require_double("design", p=p, r=r)
+    _check_truth(truth, c_a)
 
     if regime is Regime.MANY_REPLICATIONS:
         constant = _log_c_fb(p) if criterion is Criterion.FB else _log_c_bic(p)

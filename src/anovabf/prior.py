@@ -64,6 +64,7 @@ class BetaPrimePrior:
         unnormalized beta density after the t = g/(1+g) substitution. The
         default a = -1/2 is the recommended choice the closed form uses.
         """
+        require_double("closed-form prior", n=n, p_alt=p_alt)
         return cls(a=a, b=(n - p_alt) / 2.0 - a - 2.0)
 
     @classmethod

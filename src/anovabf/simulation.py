@@ -13,8 +13,8 @@ generator; Salmon et al. 2011, "Parallel random numbers: as easy as
 1, 2, 3"), keyed as ``SeedSequence(entropy=seed, spawn_key=(p, r, rep))``
 would key it, with the counter at zero. The key does not involve c_a:
 a chunk's noise is drawn once, and every effect size is scored from
-that noise's level means (see :func:`_alternative_hits`). The table
-therefore does not depend on how replications are ordered, chunked or
+that noise's level means (see :func:`_part_hits`). The table therefore
+does not depend on how replications are ordered, chunked or
 distributed, and it equals, byte for byte, the table from drawing each
 replication through ``Generator(Philox(SeedSequence(...)))``, which the
 tests use as the reference.
@@ -29,8 +29,9 @@ keeps stable across releases; the keys must equal SeedSequence's bit
 for bit, or every frequency table changes. The draws then run through
 one Philox whose key is set, and counter zeroed, per replication into a
 buffer of about ``_CHUNK_VALUES`` values. One pass over the chunk gives
-its level means and residual sums; every effect size then adds its level
-effects to the means alone, and its sums of squares and
+its level means and residual sums (``sums_of_squares._level_split``, as
+for ``one_way_ss``); every effect size then adds its level effects to
+the means alone, and its sums of squares and
 :func:`~anovabf.bayes_factors.log_bfs` are evaluated over the whole
 chunk at once. The key is set from Python ints, which the state setter
 reads faster than numpy scalars.
@@ -59,7 +60,7 @@ from ._parallel import cpus as _cpus
 from ._parallel import map_parts
 from .bayes_factors import Criterion, Model, log_bfs
 from .errors import DegenerateDataError, DomainError, require_finite
-from .sums_of_squares import one_way_ss
+from .sums_of_squares import _level_split, one_way_ss
 
 FREQUENCY_CSV_HEADER = ("criterion", "truth", "c_a", "p", "r", "frequency", "replications", "seed")
 
@@ -153,6 +154,7 @@ def make_alpha(p: int, c_a: float) -> np.ndarray:
     """
     if p < 2:
         raise DomainError(f"need p >= 2, got {p}")
+    require_finite("effect size", c_a=c_a)
     if c_a < 0:
         raise DomainError("need c_a >= 0")
     if c_a == 0:
@@ -242,74 +244,6 @@ def _chunk_reps(p: int, r: int) -> int:
     return max(1, _CHUNK_VALUES // (p * r))
 
 
-def _alternative_hits(
-    cfg: SimulationConfig, p: int, r: int, reps: range
-) -> dict[tuple[float, Criterion], int]:
-    """Per (c_a, criterion), how many of replications ``reps`` of cell (p, r)
-    favor the alternative; ``reps.start`` is a chunk boundary.
-
-    The level effects move each level mean and leave every residual as it
-    is, so one pass over a chunk's noise gives the residual sum w_e and
-    the level means' deviations d from their grand mean, and an effect
-    size then costs w_h = r * sum((d + alpha)**2) per replication. A
-    replication whose total w_e + w_h is 0 or not finite (the squares of
-    effects beyond the range of a double, say) is scored again on its
-    data, noise + alpha, by ``one_way_ss``, whose unit-scale sums hold at
-    any finite scale, so errors name the replication and c_a they did
-    when every effect size was scored that way. Otherwise the sums differ
-    from those of the data by rounding alone, which changes a hit only for
-    a share within rounding of the decision threshold.
-    """
-    chunk = _chunk_reps(p, r)
-    try:
-        noise_buffer = np.empty((min(chunk, len(reps)), p, r))
-    except (ValueError, MemoryError):  # numpy's "array is too big", or allocation failed
-        raise DomainError(
-            f"cell (p={p}, r={r}) needs {p * r} values per replication, more than memory holds"
-        ) from None
-    with np.errstate(over="ignore", invalid="ignore"):
-        # an effect size beyond the range of a double gives effects that are not finite
-        alphas = {c_a: make_alpha(p, c_a) for c_a in cfg.ca_list}
-    hits = dict.fromkeys(itertools.product(cfg.ca_list, cfg.criteria), 0)
-    where = f"at (p={p}, r={r}, seed={cfg.seed})"
-    for start in range(reps.start, reps.stop, chunk):
-        chunk_reps = range(start, min(start + chunk, reps.stop))
-        noise = draw_noise(cfg.seed, p, r, chunk_reps, out=noise_buffer[: len(chunk_reps)])
-        # the operations of one_way_ss, so that c_a = 0 gives its sums bit for bit
-        with np.errstate(over="ignore", invalid="ignore"):
-            level_means = noise.mean(axis=-1)
-            deviations = level_means - level_means.mean(axis=-1)[:, None]
-            w_e = np.sum((noise - level_means[..., None]) ** 2, axis=(-2, -1))
-        for c_a, alpha in alphas.items():
-            with np.errstate(over="ignore", invalid="ignore"):
-                w_t = w_e + r * np.sum((deviations + alpha) ** 2, axis=-1)
-            residual = w_e
-            again = np.flatnonzero(~np.isfinite(w_t) | (w_t == 0.0))
-            if again.size:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    unit = one_way_ss(noise[again] + alpha[:, None]).unit
-                residual = w_e.copy()
-                residual[again], w_t[again] = unit.w_e, unit.w_t
-            overflow = np.flatnonzero(~np.isfinite(w_t))
-            if overflow.size:
-                rep = start + overflow[0]
-                raise DomainError(
-                    f"replication {rep} {where} has a sum of squares that is not finite"
-                    f" (c_a={c_a})"
-                )
-            degenerate = np.flatnonzero(w_t == 0.0)
-            if degenerate.size:
-                rep = start + degenerate[0]
-                raise DegenerateDataError(
-                    f"replication {rep} {where} produced a zero total sum of squares"
-                    f" (c_a={c_a})"
-                )
-            log_bf = dict(zip((Criterion.FB, Criterion.BIC), log_bfs(p * r, p, residual / w_t)))
-            for criterion in cfg.criteria:
-                hits[(c_a, criterion)] += int(np.count_nonzero(log_bf[criterion] > 0))
-    return hits
-
-
 def _parts(cfg: SimulationConfig, k: int) -> list[list[tuple[int, int, range]]]:
     """The grid's chunks, in serial order, cut into at most k contiguous
     nonempty parts of about equal cost.
@@ -343,13 +277,64 @@ def _parts(cfg: SimulationConfig, k: int) -> list[list[tuple[int, int, range]]]:
     return [part for part in parts if part]
 
 
+# effects beyond the range of a double give sums that are not finite, handled below
+@np.errstate(over="ignore", invalid="ignore")
 def _part_hits(cfg: SimulationConfig, part: list[tuple[int, int, range]]) -> list[int]:
-    """Alternative hits of a part's replications, one count per
-    (c_a, criterion, p, r) of the grid in table order."""
+    """How many of a part's replications favor the alternative, one count
+    per (c_a, criterion, p, r) of the grid in table order.
+
+    The level effects move each level mean and leave every residual as it
+    is, so one pass over a chunk's noise gives the residual sum w_e and
+    the level means' deviations d from their grand mean, and an effect
+    size then costs w_h = r * sum((d + alpha)**2) per replication. A
+    replication whose total w_e + w_h is 0 or not finite (the squares of
+    effects beyond the range of a double, say) is scored again on its
+    data, noise + alpha, by ``one_way_ss``, whose unit-scale sums hold at
+    any finite scale, so errors name the replication and c_a they did
+    when every effect size was scored that way. Otherwise the sums differ
+    from those of the data by rounding alone, which changes a hit only for
+    a share within rounding of the decision threshold.
+    """
     hits = dict.fromkeys(itertools.product(cfg.ca_list, cfg.criteria, cfg.p_list, cfg.r_list), 0)
     for p, r, reps in part:
-        for (c_a, criterion), alternative in _alternative_hits(cfg, p, r, reps).items():
-            hits[(c_a, criterion, p, r)] += alternative
+        chunk = _chunk_reps(p, r)
+        try:
+            noise_buffer = np.empty((min(chunk, len(reps)), p, r))
+        except (ValueError, MemoryError):  # numpy's "array is too big", or allocation failed
+            raise DomainError(
+                f"cell (p={p}, r={r}) needs {p * r} values per replication, more than memory holds"
+            ) from None
+        alphas = {c_a: make_alpha(p, c_a) for c_a in cfg.ca_list}
+        where = f"at (p={p}, r={r}, seed={cfg.seed})"
+        for start in range(reps.start, reps.stop, chunk):
+            chunk_reps = range(start, min(start + chunk, reps.stop))
+            noise = draw_noise(cfg.seed, p, r, chunk_reps, out=noise_buffer[: len(chunk_reps)])
+            deviations, w_e = _level_split(noise)
+            for c_a, alpha in alphas.items():
+                w_t = w_e + r * np.sum((deviations + alpha) ** 2, axis=-1)
+                residual = w_e
+                again = np.flatnonzero(~np.isfinite(w_t) | (w_t == 0.0))
+                if again.size:
+                    unit = one_way_ss(noise[again] + alpha[:, None]).unit
+                    residual = w_e.copy()
+                    residual[again], w_t[again] = unit.w_e, unit.w_t
+                overflow = np.flatnonzero(~np.isfinite(w_t))
+                if overflow.size:
+                    rep = start + overflow[0]
+                    raise DomainError(
+                        f"replication {rep} {where} has a sum of squares that is not finite"
+                        f" (c_a={c_a})"
+                    )
+                degenerate = np.flatnonzero(w_t == 0.0)
+                if degenerate.size:
+                    rep = start + degenerate[0]
+                    raise DegenerateDataError(
+                        f"replication {rep} {where} produced a zero total sum of squares"
+                        f" (c_a={c_a})"
+                    )
+                log_bf = dict(zip((Criterion.FB, Criterion.BIC), log_bfs(p * r, p, residual / w_t)))
+                for criterion in cfg.criteria:
+                    hits[(c_a, criterion, p, r)] += int(np.count_nonzero(log_bf[criterion] > 0))
     return list(hits.values())
 
 

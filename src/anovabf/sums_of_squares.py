@@ -95,12 +95,16 @@ def _times_four_to(sums, power):
     return type(sums)(**fields)
 
 
-def _one_way_sums(y: np.ndarray) -> OneWaySS:
-    r = y.shape[-1]
+def _level_split(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Level means' deviations from their grand mean, and w_e, over y's last two axes."""
     level_means = y.mean(axis=-1)
-    grand_mean = level_means.mean(axis=-1)
-    w_e = np.sum((y - level_means[..., None]) ** 2, axis=(-2, -1))
-    w_h = r * np.sum((level_means - grand_mean[..., None]) ** 2, axis=-1)
+    deviations = level_means - level_means.mean(axis=-1)[..., None]
+    return deviations, np.sum((y - level_means[..., None]) ** 2, axis=(-2, -1))
+
+
+def _one_way_sums(y: np.ndarray) -> OneWaySS:
+    deviations, w_e = _level_split(y)
+    w_h = y.shape[-1] * np.sum(deviations**2, axis=-1)
     if y.ndim == 2:
         w_e, w_h = float(w_e), float(w_h)
     return OneWaySS(w_t=w_e + w_h, w_e=w_e, w_h=w_h)

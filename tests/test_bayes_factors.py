@@ -297,6 +297,13 @@ class TestLogBfs:
         assert log_bfs(8, 2, -1e-300) == log_bfs(8, 2, 0.0) == (math.inf, math.inf)
         assert log_bfs(8, 2, 1.0 + 1e-15) == log_bfs(8, 2, 1.0)
 
+    @pytest.mark.parametrize(
+        "ratio", [math.nan, np.array([0.5, math.nan, 0.25])], ids=["float", "array"]
+    )
+    def test_nan_share_rejected(self, ratio):
+        with pytest.raises(DomainError, match="residual share is NaN"):
+            log_bfs(10, 3, ratio)
+
     @pytest.mark.parametrize("n, s1", [(5, 0), (5, 5), (5, 6)])
     def test_parameter_count_outside_design_rejected(self, n, s1):
         with pytest.raises(DomainError, match="0 < s1 < n"):

@@ -74,6 +74,18 @@ class TestThreshold:
 
 
 class TestTwoWayWindow:
+    @pytest.mark.parametrize("r", [2, 3, 5, 10, 1000, 2**53])
+    def test_lower_bound_is_one_plus_the_threshold(self, r):
+        assert two_way_consistency_window(r, EffectSizes()).lower - 1.0 == h_threshold(r)
+
+    @pytest.mark.parametrize(
+        "r, match", [(1, "need r >= 2"), (10**400, "must fit a double")], ids=["1", "10**400"]
+    )
+    def test_same_replication_errors_as_the_threshold(self, r, match):
+        for call in (lambda: h_threshold(r), lambda: two_way_consistency_window(r, EffectSizes())):
+            with pytest.raises(DomainError, match=match):
+                call()
+
     def test_pure_interaction_consistent(self):
         w = two_way_consistency_window(2, EffectSizes(c_ab=3.0))
         assert (w.lower, w.signal, w.upper) == (2.0, 4.0, 8.0)
@@ -149,6 +161,24 @@ class TestRatioLimits:
         with pytest.raises(DomainError):
             limit_we_wt(Regime.MANY_LEVELS, Model.FACTOR_A, r=2, c_a=-1.0)
 
+    @pytest.mark.parametrize(
+        "regime, truth, counts",
+        [
+            (Regime.MANY_LEVELS, Model.NULL, {"r": 10**400}),
+            (Regime.MANY_LEVELS, Model.FACTOR_A, {"r": 10**400}),
+            (Regime.MANY_REPLICATIONS, Model.FACTOR_A, {"p": 10**400}),
+        ],
+        ids=["levels-null", "levels-alternative", "replications-alternative"],
+    )
+    def test_count_past_a_double_rejected(self, regime, truth, counts):
+        with pytest.raises(DomainError, match="must fit a double"):
+            limit_we_wt(regime, truth, **counts)
+
+    @pytest.mark.parametrize("c_a", [math.nan, math.inf])
+    def test_effect_size_not_finite_rejected(self, c_a):
+        with pytest.raises(DomainError, match="c_a must be finite"):
+            limit_we_wt(Regime.MANY_LEVELS, Model.FACTOR_A, r=2, c_a=c_a)
+
 
 class TestAsymptoticTrajectories:
     """Spot checks of each limiting form against hand arithmetic."""
@@ -209,6 +239,23 @@ class TestAsymptoticTrajectories:
             asymptotic_log_bf(Criterion.FB, Regime.MANY_LEVELS, Model.NULL, 1, 2)
         with pytest.raises(DomainError):
             asymptotic_log_bf(Criterion.FB, Regime.MANY_LEVELS, Model.FACTOR_A, 10, 2, -0.5)
+
+    @pytest.mark.parametrize(
+        "criterion, regime, p, r",
+        [
+            (Criterion.FB, Regime.MANY_REPLICATIONS, 10**400, 2),
+            (Criterion.BIC, Regime.MANY_LEVELS, 10, 10**400),
+        ],
+        ids=["fb-replications", "bic-levels"],
+    )
+    def test_count_past_a_double_rejected(self, criterion, regime, p, r):
+        with pytest.raises(DomainError, match="must fit a double"):
+            asymptotic_log_bf(criterion, regime, Model.FACTOR_A, p, r)
+
+    @pytest.mark.parametrize("c_a", [math.nan, math.inf])
+    def test_effect_size_not_finite_rejected(self, c_a):
+        with pytest.raises(DomainError, match="c_a must be finite"):
+            asymptotic_log_bf(Criterion.FB, Regime.MANY_LEVELS, Model.FACTOR_A, 10, 2, c_a)
 
 
 class TestLevelLimitDirections:

@@ -37,6 +37,10 @@ class TestBetaPrimePrior:
         assert BetaPrimePrior.for_closed_form(8, 3).b == pytest.approx(1.0)
         assert BetaPrimePrior.for_closed_form(8, 3, a=0.0).b == pytest.approx(0.5)
 
+    def test_for_closed_form_count_past_a_double_rejected(self):
+        with pytest.raises(DomainError, match="n must fit a double"):
+            BetaPrimePrior.for_closed_form(10**400, 3)
+
     def test_hyper_g_fixes_b_at_zero(self):
         prior = BetaPrimePrior.hyper_g()
         assert prior.b == 0.0

@@ -146,6 +146,11 @@ class TestMakeAlpha:
         with pytest.raises(DomainError):
             make_alpha(1, 1.0)
 
+    @pytest.mark.parametrize("c_a", [math.nan, math.inf])
+    def test_effect_size_not_finite_rejected(self, c_a):
+        with pytest.raises(DomainError, match="c_a must be finite"):
+            make_alpha(3, c_a)
+
 
 class TestReplicationKeys:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
@@ -392,6 +397,14 @@ def reference_alternative_hits(cfg, p, r, reps):
     return hits
 
 
+def cell_hits(cfg, p, r, reps):
+    """``_part_hits`` of replications ``reps`` of a one-cell grid, keyed by
+    (c_a, criterion)."""
+    assert (cfg.p_list, cfg.r_list) == ((p,), (r,))
+    keys = itertools.product(cfg.ca_list, cfg.criteria)
+    return dict(zip(keys, simulation._part_hits(cfg, [(p, r, reps)])))
+
+
 class TestSharedLevelMeans:
     """Every effect size scored from one pass over a chunk's level means,
     against scoring each on its own data."""
@@ -412,7 +425,7 @@ class TestSharedLevelMeans:
             seed=seed,
         )
         reps = range(replications)
-        hits = simulation._alternative_hits(cfg, p, r, reps)
+        hits = cell_hits(cfg, p, r, reps)
         assert hits == reference_alternative_hits(cfg, p, r, reps)
         # the effects beyond the range of a double's squares are always found
         assert hits[(1e307, Criterion.FB)] == hits[(1e307, Criterion.BIC)] == replications
@@ -423,7 +436,7 @@ class TestSharedLevelMeans:
             model=Model.FACTOR_A, p_list=(4,), r_list=(3,), ca_list=(0.0, 0.5, 1e307), seed=3
         )
         reps = range(5 * simulation._chunk_reps(4, 3), 9 * simulation._chunk_reps(4, 3) + 1)
-        hits = simulation._alternative_hits(cfg, 4, 3, reps)
+        hits = cell_hits(cfg, 4, 3, reps)
         assert hits == reference_alternative_hits(cfg, 4, 3, reps)
 
 
@@ -569,14 +582,14 @@ class TestPartsAgreeWithOnePart:
     def test_part_of_a_child_that_dies_is_run_here(self, parts, forks, no_children, monkeypatch):
         cfg = self.cfg("many-chunk-cells")
         expected = table_rows(cfg)
-        parent, hits = os.getpid(), simulation._alternative_hits
+        parent, hits = os.getpid(), simulation._part_hits
 
         def dies(*args):
             if os.getpid() != parent:
                 os._exit(1)
             return hits(*args)
 
-        monkeypatch.setattr(simulation, "_alternative_hits", dies)
+        monkeypatch.setattr(simulation, "_part_hits", dies)
         assert table_rows(cfg) == expected
         assert len(forks) == 2 * (parts - 1)
         no_children()
@@ -619,14 +632,14 @@ print(list(map_parts(part, [(cfg, part) for part in simulation._parts(cfg, 2)]))
         assert run.stdout == "[[], []]\n"
 
     def test_children_reaped_when_this_part_raises(self, parts, forks, no_children, monkeypatch):
-        parent, hits = os.getpid(), simulation._alternative_hits
+        parent, hits = os.getpid(), simulation._part_hits
 
         def interrupted(*args):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             return hits(*args)
 
-        monkeypatch.setattr(simulation, "_alternative_hits", interrupted)
+        monkeypatch.setattr(simulation, "_part_hits", interrupted)
         with pytest.raises(KeyboardInterrupt):
             table_rows(self.cfg("many-chunk-cells"))
         assert len(forks) == parts - 1
