@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateDataError, DomainError
+from .errors import DegenerateDataError, DomainError, require_design, require_effect
 
 if TYPE_CHECKING:
     from .sums_of_squares import OneWaySS, TwoWaySS
@@ -36,6 +36,17 @@ class Model(str, enum.Enum):
     FACTOR_B = "B+1"
     ADDITIVE = "A+B+1"
     FULL = "(A+1)(B+1)"
+
+
+def require_truth(truth: Model, c_a: float) -> None:
+    """Raise :class:`DomainError` unless ``truth`` is the null or the one-way
+    alternative, with a finite nonnegative effect size c_a that is 0 under
+    the null."""
+    if truth not in (Model.NULL, Model.FACTOR_A):
+        raise DomainError(f"need a one-way truth, got {truth.value!r}")
+    require_effect("truth", c_a=c_a)
+    if truth is Model.NULL and c_a != 0.0:
+        raise DomainError(f"c_a must be 0 under model {truth.value!r}")
 
 
 class Criterion(str, enum.Enum):
@@ -57,11 +68,6 @@ class BayesFactorReport:
     ss_ratio: float
 
 
-def _check_design(p: int, r: int) -> None:
-    if p < 2 or r < 2:
-        raise DomainError(f"need at least 2 levels and 2 replications, got p={p}, r={r}")
-
-
 def _log_share(ratio: float) -> float:
     """Log of a residual share clamped into [0, 1]; a share of 0 gives -inf."""
     if ratio >= 1.0:
@@ -78,7 +84,8 @@ def _log_bf_fb_kernel(n: int, s1: int, log_ratio):
 
     log_ratio is the log of the residual share of the total sum of
     squares left by the alternative, a float or an array of them; a share
-    of 0 (perfect fit under a nonzero total) gives +inf.
+    of 0 (perfect fit under a nonzero total) gives +inf. With s1 = n - 1
+    the factor does not depend on the share and is the constant alone.
     """
     constant = (
         math.lgamma(s1 / 2.0)
@@ -86,6 +93,8 @@ def _log_bf_fb_kernel(n: int, s1: int, log_ratio):
         - _LOG_GAMMA_HALF
         - math.lgamma((n - 1) / 2.0)
     )
+    if n - s1 == 1:  # 0 * log(0) would make the constant NaN
+        return np.full(log_ratio.shape, constant) if isinstance(log_ratio, np.ndarray) else constant
     return constant - ((n - s1 - 1) / 2.0) * log_ratio
 
 
@@ -102,10 +111,11 @@ def log_bfs(n: int, s1: int, ratio):
     squares: a float, or an array of shares scored element by element.
     Shares are clamped into [0, 1], a NaN one raises :class:`DomainError`,
     and each is logged with ``math.log``, so a batch gives its elements'
-    factors bit for bit.
+    factors bit for bit; an n too large for a double is a DomainError.
     """
     if not 0 < s1 < n:
         raise DomainError(f"need 0 < s1 < n, got n={n}, s1={s1}")
+    require_design("observation count", n=n)
     if isinstance(ratio, np.ndarray):
         log_ratio = np.array([_log_share(x) for x in ratio.tolist()])
     else:
@@ -159,25 +169,25 @@ def score(n: int, s1: int, residual: float, total: float, alternative: Model) ->
     )
 
 
-def _reports(ss, levels: tuple[int, ...], r: int, fits: dict) -> dict[Model, BayesFactorReport]:
+def _reports(ss, fits: dict, **counts: int) -> dict[Model, BayesFactorReport]:
     """Report for each alternative of ``fits``, laid out as by :func:`_two_way_fits`.
 
-    ``levels`` holds each factor's level count; the total sums the
-    components other than w_t in field order.
+    ``counts`` holds the level counts and r, whose product is n; the total
+    sums the components other than w_t in field order.
     """
-    for count in levels:
-        _check_design(count, r)
+    n = math.prod(counts.values())
+    require_design("design", **counts, n=n)
     unit = ss.unit or ss
     total = sum(getattr(unit, f.name) for f in fields(unit) if f.name not in ("w_t", "unit"))
     return {
-        m: score(math.prod(levels) * r, s1, sum(getattr(unit, c) for c in residual), total, m)
+        m: score(n, s1, sum(getattr(unit, c) for c in residual), total, m)
         for m, (s1, residual) in fits.items()
     }
 
 
 def one_way_report(ss: OneWaySS, p: int, r: int) -> BayesFactorReport:
     """Decision report for the level-means model against the common mean."""
-    return _reports(ss, (p,), r, {Model.FACTOR_A: (p, ("w_e",))})[Model.FACTOR_A]
+    return _reports(ss, {Model.FACTOR_A: (p, ("w_e",))}, p=p, r=r)[Model.FACTOR_A]
 
 
 def log_bf_fb_one_way(ss: OneWaySS, p: int, r: int) -> float:
@@ -186,7 +196,7 @@ def log_bf_fb_one_way(ss: OneWaySS, p: int, r: int) -> float:
     Equals ``one_way_report(ss, p, r).log_bf_fb``, errors included, without
     building the report.
     """
-    _check_design(p, r)
+    require_design("design", p=p, r=r, n=p * r)
     unit = ss.unit or ss
     total = unit.w_e + unit.w_h
     if total == 0.0:
@@ -211,7 +221,7 @@ def _two_way_fits(p: int, q: int) -> dict[Model, tuple[int, tuple[str, ...]]]:
 
 def two_way_reports(ss: TwoWaySS, p: int, q: int, r: int) -> dict[Model, BayesFactorReport]:
     """Decision report for every two-way alternative against the common mean."""
-    return _reports(ss, (p, q), r, _two_way_fits(p, q))
+    return _reports(ss, _two_way_fits(p, q), p=p, q=q, r=r)
 
 
 def rank_two_way_models(

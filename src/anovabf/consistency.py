@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bayes_factors import Criterion, Model
-from .errors import DomainError, require_double, require_finite
+from .bayes_factors import Criterion, Model, require_truth
+from .errors import DomainError, require_design, require_effect
 from .numerics import Regime
 
 
@@ -30,9 +30,7 @@ class EffectSizes:
     c_ab: float = 0.0
 
     def __post_init__(self):
-        require_finite("effect size", c_a=self.c_a, c_b=self.c_b, c_ab=self.c_ab)
-        if self.c_a < 0 or self.c_b < 0 or self.c_ab < 0:
-            raise DomainError("effect sizes must be nonnegative")
+        require_effect("effect size", c_a=self.c_a, c_b=self.c_b, c_ab=self.c_ab)
 
 
 @dataclass(frozen=True)
@@ -73,24 +71,9 @@ class AsymptoticLogBF:
     remainder_description: str = ""
 
 
-def _check_counts(p: int, r: int) -> None:
-    if p < 2 or r < 2:
-        raise DomainError(f"need p >= 2 and r >= 2, got p={p}, r={r}")
-
-
-def _check_truth(truth: Model, c_a: float) -> None:
-    if truth not in (Model.NULL, Model.FACTOR_A):
-        raise DomainError(f"truth must be the null or the one-way alternative, got {truth!r}")
-    require_finite("effect size", c_a=c_a)
-    if c_a < 0:
-        raise DomainError(f"effect size must be nonnegative, got {c_a}")
-
-
 def _root_of(r: int) -> float:
     """r**(1/(r-1)), for a replication count r >= 2 that fits a double."""
-    if r < 2:
-        raise DomainError(f"need r >= 2, got {r}")
-    require_double("replication count", r=r)
+    require_design("replication count", r=r)
     return r ** (1.0 / (r - 1))
 
 
@@ -144,17 +127,15 @@ def limit_we_wt(
     null with replications growing the ratio stays random and a
     descriptor of its law is returned instead.
     """
-    _check_truth(truth, c_a)
+    require_truth(truth, c_a)
     if regime is Regime.MANY_LEVELS:
-        if r is None or r < 2:
-            raise DomainError("levels-growing regime needs fixed r >= 2")
-        require_double("replication count", r=r)
-        if truth is Model.NULL:
-            return RatioLimit(value=1.0 - 1.0 / r)
+        if r is None:
+            raise DomainError("levels-growing regime needs a fixed r")
+        require_design("replication count", r=r)
         return RatioLimit(value=(1.0 - 1.0 / r) / (1.0 + c_a))
-    if p is None or p < 2:
-        raise DomainError("replications-growing regime needs fixed p >= 2")
-    require_double("level count", p=p)
+    if p is None:
+        raise DomainError("replications-growing regime needs a fixed p")
+    require_design("level count", p=p)
     if truth is Model.FACTOR_A:
         return RatioLimit(value=1.0 / (1.0 + c_a))
     return RatioLimit(
@@ -193,9 +174,8 @@ def asymptotic_log_bf(
     growing the fully-Bayes factor diverges upward iff c_a exceeds
     h_threshold(r), while the BIC trajectory sinks for every effect size.
     """
-    _check_counts(p, r)
-    require_double("design", p=p, r=r)
-    _check_truth(truth, c_a)
+    require_design("design", p=p, r=r, n=p * r)
+    require_truth(truth, c_a)
 
     if regime is Regime.MANY_REPLICATIONS:
         constant = _log_c_fb(p) if criterion is Criterion.FB else _log_c_bic(p)
@@ -206,7 +186,7 @@ def asymptotic_log_bf(
                 stochastic_remainder=True,
                 remainder_description=f"omitted X/2 with X ~ chi-square({p - 1})",
             )
-        return AsymptoticLogBF(value=base + p * r * math.log1p(c_a))
+        return AsymptoticLogBF(value=base + (p * r / 2.0) * math.log1p(c_a))
 
     # levels growing, r fixed
     if criterion is Criterion.FB:
@@ -232,8 +212,8 @@ def predicted_mse_gap(p: int, r: int, effect: float) -> float:
     null predicts better), positive once the per-observation effect size
     outweighs the p-1 extra parameters spread over pr observations.
     """
-    _check_counts(p, r)
-    require_finite("mse gap", effect=effect)
-    if effect < 0:
-        raise DomainError(f"effect must be nonnegative, got {effect}")
+    # a plain comparison: the arithmetic below is exact for counts past a double
+    if p < 2 or r < 2:
+        raise DomainError(f"need p >= 2 and r >= 2, got p={p}, r={r}")
+    require_effect("mse gap", effect=effect)
     return effect - (p - 1) / (p * r)

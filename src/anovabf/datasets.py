@@ -15,18 +15,18 @@ balance check, so both give the same levels and array. Level labels are
 arbitrary strings, stripped of surrounding whitespace, and internal
 indices follow first appearance in the input, which is harmless because
 every statistic computed from these datasets is label-invariant. Both
-dataset classes are checked by one validator.
+dataset classes share one frozen base, whose validator checks them.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,10 +47,12 @@ _BLOCK_ROWS = 1 << 15
 _FORK_CHARS = 1 << 22
 
 
-def _freeze(dataset, label_fields: tuple[str, ...]) -> None:
+def _freeze(dataset) -> None:
     """Check that values form a finite (levels..., replicates) array, at least
     2 in every dimension, with one label per level ("1", "2", ... by
-    default); store a read-only copy."""
+    default) in each label field, the fields after ``values``; store a
+    read-only copy."""
+    label_fields = [f.name for f in dataclasses.fields(dataset)[1:]]
     values = np.array(dataset.values, dtype=float)
     if values.ndim != len(label_fields) + 1:
         raise DegenerateDesignError(f"need a (levels..., replicates) array, got {values.shape}")
@@ -70,15 +72,14 @@ def _freeze(dataset, label_fields: tuple[str, ...]) -> None:
     object.__setattr__(dataset, "values", values)
 
 
-@dataclass(frozen=True)
-class OneWayDataset:
-    """Balanced one-way layout: ``values[i, j]`` is replicate j of level i."""
+@dataclasses.dataclass(frozen=True)
+class _Dataset:
+    """Balanced layout: ``values`` indexed by each factor's level, then by replicate."""
 
     values: np.ndarray
-    levels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        _freeze(self, ("levels",))
+        _freeze(self)
 
     @property
     def p(self) -> int:
@@ -86,39 +87,30 @@ class OneWayDataset:
 
     @property
     def r(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     @property
     def n(self) -> int:
         return self.values.size
 
 
-@dataclass(frozen=True)
-class TwoWayDataset:
+@dataclasses.dataclass(frozen=True)
+class OneWayDataset(_Dataset):
+    """Balanced one-way layout: ``values[i, j]`` is replicate j of level i."""
+
+    levels: tuple[str, ...] = ()
+
+
+@dataclasses.dataclass(frozen=True)
+class TwoWayDataset(_Dataset):
     """Balanced two-way layout: ``values[i, j, k]`` is replicate k of cell (i, j)."""
 
-    values: np.ndarray
     a_levels: tuple[str, ...] = ()
     b_levels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        _freeze(self, ("a_levels", "b_levels"))
-
-    @property
-    def p(self) -> int:
-        return self.values.shape[0]
 
     @property
     def q(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def r(self) -> int:
-        return self.values.shape[2]
-
-    @property
-    def n(self) -> int:
-        return self.values.size
 
 
 class _Columns:

@@ -54,3 +54,21 @@ def require_double(owner: str, **counts: int) -> None:
         except OverflowError:
             bits = value.bit_length()
             raise DomainError(f"{owner} {name} must fit a double, got a {bits}-bit integer") from None
+
+
+def require_design(owner: str, **counts: int) -> None:
+    """Raise :class:`DomainError` naming the first design count below 2, or
+    else, through :func:`require_double`, the first too large for a double."""
+    for name, value in counts.items():
+        if value < 2:
+            raise DomainError(f"need {name} >= 2, got {value}")
+    require_double(owner, **counts)
+
+
+def require_effect(owner: str, **sizes: float) -> None:
+    """Raise :class:`DomainError` naming the first effect size that is not
+    finite, or else the first that is negative."""
+    require_finite(owner, **sizes)
+    for name, value in sizes.items():
+        if value < 0:
+            raise DomainError(f"{owner} {name} must be nonnegative, got {value}")

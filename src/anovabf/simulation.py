@@ -58,8 +58,8 @@ import numpy.random  # noqa: F401
 
 from ._parallel import cpus as _cpus
 from ._parallel import map_parts
-from .bayes_factors import Criterion, Model, log_bfs
-from .errors import DegenerateDataError, DomainError, require_finite
+from .bayes_factors import Criterion, Model, log_bfs, require_truth
+from .errors import DegenerateDataError, DomainError, require_design, require_effect
 from .sums_of_squares import _level_split, one_way_ss
 
 FREQUENCY_CSV_HEADER = ("criterion", "truth", "c_a", "p", "r", "frequency", "replications", "seed")
@@ -94,18 +94,12 @@ class SimulationConfig:
     criteria: tuple[Criterion, ...] = (Criterion.FB, Criterion.BIC)
 
     def __post_init__(self):
-        if self.model not in (Model.NULL, Model.FACTOR_A):
-            raise DomainError(f"simulation needs a one-way truth, got {self.model.value!r}")
-        for c_a in self.ca_list:
-            require_finite("truth", c_a=c_a)
-            if c_a < 0:
-                raise DomainError("c_a must be nonnegative")
-            if self.model is Model.NULL and c_a != 0.0:
-                raise DomainError(f"c_a must be 0 under model {self.model.value!r}")
         if not self.p_list or not self.r_list or not self.ca_list:
             raise DomainError("p_list, r_list and ca_list must be nonempty")
-        if any(p < 2 for p in self.p_list) or any(r < 2 for r in self.r_list):
-            raise DomainError("every p and r must be at least 2")
+        for c_a in self.ca_list:
+            require_truth(self.model, c_a)
+        for p, r in itertools.product(self.p_list, self.r_list):
+            require_design("simulation", p=p, r=r)
         if not 1 <= self.replications <= 2**32:
             # each replication index is one 32-bit word of the stream key
             raise DomainError("replications must be between 1 and 2**32")
@@ -152,11 +146,8 @@ def make_alpha(p: int, c_a: float) -> np.ndarray:
     effects only through their sum of squares; a fixed pattern keeps runs
     reproducible.
     """
-    if p < 2:
-        raise DomainError(f"need p >= 2, got {p}")
-    require_finite("effect size", c_a=c_a)
-    if c_a < 0:
-        raise DomainError("need c_a >= 0")
+    require_design("level count", p=p)
+    require_effect("effect size", c_a=c_a)
     if c_a == 0:
         return np.zeros(p)
     half = p // 2

@@ -309,6 +309,21 @@ class TestLogBfs:
         with pytest.raises(DomainError, match="0 < s1 < n"):
             log_bfs(n, s1, 0.5)
 
+    # with s1 = n - 1 the share's exponent (n - s1 - 1)/2 is 0: the factor is
+    # its constant, log Gamma((n-1)/2) - log Gamma((n-1)/2) = 0, at every share
+    @pytest.mark.parametrize("n", [3, 6, 11])
+    def test_share_free_factor_at_a_zero_share(self, n):
+        fb = [log_bfs(n, n - 1, share)[0] for share in (0.0, 0.5, 1.0)]
+        assert fb[0] == fb[1] == fb[2] and abs(fb[0]) < 1e-14
+        report = score(n, n - 1, 0.0, 1.0, Model.FACTOR_A)
+        assert (report.log_bf_fb, report.log_bf_bic) == (fb[0], math.inf)
+
+    def test_share_free_factor_over_an_array(self, recwarn):
+        fb, bic = log_bfs(3, 2, np.array([0.0, 0.5, 1.0]))
+        assert fb.tolist() == [log_bfs(3, 2, 0.5)[0]] * 3
+        assert bic[0] == math.inf
+        assert not recwarn.list
+
 
 def outcome(fn, *args):
     """A call's value as float.hex, or its error's type and text."""

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from anovabf.bayes_factors import Criterion, Model, log_bf_fb_one_way
+from anovabf.bayes_factors import Criterion, Model, log_bf_fb_one_way, log_bfs
 from anovabf.consistency import (
     EffectSizes,
     _log_c_fb,
@@ -217,7 +217,7 @@ class TestAsymptoticTrajectories:
         got = asymptotic_log_bf(
             Criterion.FB, Regime.MANY_REPLICATIONS, Model.FACTOR_A, 3, 10, 0.5
         )
-        np.testing.assert_allclose(got.value, math.log(1.5**30 / 30.0), rtol=1e-12)
+        np.testing.assert_allclose(got.value, math.log(1.5**15 / 30.0), rtol=1e-12)
         assert not got.stochastic_remainder
 
     def test_bic_replications_growing_null(self):
@@ -229,7 +229,7 @@ class TestAsymptoticTrajectories:
         got = asymptotic_log_bf(
             Criterion.BIC, Regime.MANY_REPLICATIONS, Model.FACTOR_A, 4, 100, 1.0
         )
-        expected = -1.5 * math.log(400.0) + 400.0 * math.log(2.0)
+        expected = -1.5 * math.log(400.0) + 200.0 * math.log(2.0)
         np.testing.assert_allclose(got.value, expected, rtol=1e-12)
 
     def test_argument_errors(self):
@@ -256,6 +256,38 @@ class TestAsymptoticTrajectories:
     def test_effect_size_not_finite_rejected(self, c_a):
         with pytest.raises(DomainError, match="c_a must be finite"):
             asymptotic_log_bf(Criterion.FB, Regime.MANY_LEVELS, Model.FACTOR_A, 10, 2, c_a)
+
+
+
+class TestReplicationsTrajectoryAgainstTheKernels:
+    """The replications-growing alternative against both kernels scored
+    exactly at the limiting share that limit_we_wt gives."""
+
+    @staticmethod
+    def exact(criterion, p, r, c_a):
+        limit = limit_we_wt(Regime.MANY_REPLICATIONS, Model.FACTOR_A, p=p, c_a=c_a).value
+        fb, bic = log_bfs(p * r, p, limit)
+        return fb if criterion is Criterion.FB else bic
+
+    @staticmethod
+    def trajectory(criterion, p, r, c_a):
+        return asymptotic_log_bf(criterion, Regime.MANY_REPLICATIONS, Model.FACTOR_A, p, r, c_a)
+
+    @pytest.mark.parametrize(
+        "p, r, c_a",
+        [(3, 10, 0.5), (5, 100, 0.1), (5, 10**5, 0.1), (40, 1000, 2.0), (1000, 50, 0.01)],
+    )
+    def test_bic_is_the_kernel_at_the_limit(self, p, r, c_a):
+        got = self.trajectory(Criterion.BIC, p, r, c_a).value
+        np.testing.assert_allclose(got, self.exact(Criterion.BIC, p, r, c_a), rtol=1e-12)
+
+    def test_fb_relative_gap_shrinks_as_r_grows(self):
+        gaps = []
+        for r in (10**2, 10**4, 10**5):
+            exact = self.exact(Criterion.FB, 5, r, 0.1)
+            gaps.append(abs(self.trajectory(Criterion.FB, 5, r, 0.1).value / exact - 1.0))
+        assert gaps[0] > gaps[1] > gaps[2]
+        assert gaps[0] < 0.05 and gaps[2] < 1e-4
 
 
 class TestLevelLimitDirections:
