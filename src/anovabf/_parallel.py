@@ -1,13 +1,12 @@
 """Parts of one computation run side by side in forked processes.
 
-:func:`map_parts` gives ``fn(*part)`` for each part, in part order. This
+:func:`map_parts` returns ``fn(*part)`` for each part, in part order. This
 process computes the first part; a forked child computes each later part
 and sends its result down a pipe by ``marshal``, so a result must be made
 of marshallable values. A part whose child could not be started, or that
 ended without sending a whole result (``fn`` raised in it, say), is
 computed again here, so any error is raised here, as it would be in one
-process. Every child is reaped when the iterator ends, raises or is
-closed; a caller that may stop early closes it in a ``finally``.
+process. Every child is reaped before :func:`map_parts` returns or raises.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import io
 import marshal
 import os
 import warnings
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 
 _SIGKILL = 9  # signal.SIGKILL on every POSIX system; the signal module is not otherwise loaded
 # From Python 3.12, os.fork in a process with more than one thread (numpy's
@@ -64,20 +63,19 @@ def _fork(fn: Callable, part: Sequence) -> tuple[int, io.BufferedReader] | None:
     return pid, open(read, "rb")
 
 
-def map_parts(fn: Callable, parts: Sequence[Sequence]) -> Iterator:
-    """Yield ``fn(*part)`` for each of ``parts``, in order.
+def map_parts(fn: Callable, parts: Sequence[Sequence]) -> list:
+    """``fn(*part)`` for each of ``parts``, in order.
 
     Forks a child for every part but the first before computing the
     first here. A child's result counts only when the child exited with
     status 0; otherwise its part is computed here when its turn comes.
-    Closing the iterator early, or an exception in it, kills and reaps
-    the children left.
+    An exception kills and reaps the children left.
     """
     children: list[tuple[int, io.BufferedReader] | None] = []
     try:
         for part in parts[1:]:
             children.append(_fork(fn, part))
-        yield fn(*parts[0])
+        results = [fn(*parts[0])]
         for i, part in enumerate(parts[1:]):
             if children[i] is not None:
                 pid, pipe = children[i]
@@ -86,9 +84,10 @@ def map_parts(fn: Callable, parts: Sequence[Sequence]) -> Iterator:
                 status = os.waitpid(pid, 0)[1]
                 children[i] = None
                 if status == 0:
-                    yield marshal.loads(data)
+                    results.append(marshal.loads(data))
                     continue
-            yield fn(*part)
+            results.append(fn(*part))
+        return results
     finally:
         # a child still listed has not been reaped: its result is not needed
         for child in filter(None, children):

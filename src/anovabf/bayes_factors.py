@@ -108,7 +108,8 @@ def log_bfs(n: int, s1: int, ratio):
     parameters among n observations, against the common mean.
 
     ``ratio`` is the alternative's residual share of the total sum of
-    squares: a float, or an array of shares scored element by element.
+    squares: a float, or an array of shares of any shape scored element
+    by element into arrays of that shape.
     Shares are clamped into [0, 1], a NaN one raises :class:`DomainError`,
     and each is logged with ``math.log``, so a batch gives its elements'
     factors bit for bit; an n too large for a double is a DomainError.
@@ -117,7 +118,7 @@ def log_bfs(n: int, s1: int, ratio):
         raise DomainError(f"need 0 < s1 < n, got n={n}, s1={s1}")
     require_design("observation count", n=n)
     if isinstance(ratio, np.ndarray):
-        log_ratio = np.array([_log_share(x) for x in ratio.tolist()])
+        log_ratio = np.array([_log_share(x) for x in ratio.ravel().tolist()]).reshape(ratio.shape)
     else:
         log_ratio = _log_share(ratio)
     return _log_bf_fb_kernel(n, s1, log_ratio), _log_bf_bic_kernel(n, s1, log_ratio)

@@ -16,6 +16,7 @@ import enum
 import io
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable
 from datetime import datetime, timezone
@@ -336,4 +337,7 @@ def run(argv: list[str]) -> int:
 
 
 def entry_point() -> None:
+    # numpy's OpenBLAS threads would spin through every command, none of
+    # which calls a threaded BLAS routine; a count the user set is kept
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run(sys.argv[1:]))

@@ -200,13 +200,14 @@ def _balance_error(levels: list[tuple[str, ...]], sizes: tuple[int, ...], cell) 
     )
 
 
-def _code_range(text: str, start: int, stop: int, width: int) -> _Columns | None:
-    """Code the lines of ``text[start:stop]``, about ``_BLOCK_CHARS`` at a time.
+def _code_range(text: str, start: int, stop: int, width: int):
+    """The ``wire`` form of the coding of ``text[start:stop]``, or None.
 
-    Each block, cut at a newline, is split once and each column taken as
-    a stride of the fields. Returns None on a line without exactly
-    ``width - 1`` commas, a line of more bytes than the csv field size
-    limit, or a value that is not a finite number.
+    The lines are coded about ``_BLOCK_CHARS`` at a time: each block, cut
+    at a newline, is split once and each column taken as a stride of the
+    fields. Returns None on a line without exactly ``width - 1`` commas,
+    a line of more bytes than the csv field size limit, or a value that
+    is not a finite number.
     """
     limit = csv.field_size_limit()
     separators = np.array([ord(",")] * (width - 1) + [ord("\n")], dtype=np.uint8)
@@ -228,13 +229,7 @@ def _code_range(text: str, start: int, stop: int, width: int) -> _Columns | None
         except ValueError:
             return None
         start = end + 1
-    return columns if np.isfinite(columns.values).all() else None
-
-
-def _coded(text: str, start: int, stop: int, width: int):
-    """The ``wire`` form of the coding of ``text[start:stop]``, or None."""
-    columns = _code_range(text, start, stop, width)
-    return columns and columns.wire()
+    return columns.wire() if np.isfinite(columns.values).all() else None
 
 
 def _read_blocks(text: str, header: tuple[str, ...]) -> _Columns | None:
@@ -260,18 +255,13 @@ def _read_blocks(text: str, header: tuple[str, ...]) -> _Columns | None:
         end = text.find("\n", max(starts[-1], start + (stop - start) * i // k), stop)
         starts.append(stop + 1 if end < 0 else end + 1)
     stops = [later - 1 for later in starts[1:]] + [stop]
-    parts = map_parts(_coded, [(text, *ends, width) for ends in zip(starts, stops)])
-    try:
-        columns = _Columns(width - 1)
-        for part in parts:
-            if part is None:
-                return None
-            columns.merge(*part)
-        return columns
-    finally:
-        # the children of ranges not yet read are stopped: the text goes to
-        # the row-by-row pass
-        parts.close()
+    parts = map_parts(_code_range, [(text, *ends, width) for ends in zip(starts, stops)])
+    if None in parts:
+        return None
+    columns = _Columns(width - 1)
+    for part in parts:
+        columns.merge(*part)
+    return columns
 
 
 def _read_rows(text: str, header: tuple[str, ...]) -> _Columns:
@@ -320,6 +310,7 @@ def _parse_balanced(text: str, header: tuple[str, ...]) -> tuple[list, np.ndarra
     pass; anything it does not accept is read again row by row, which
     gives the same result or names the line at fault.
     """
+    text = text.removeprefix("\ufeff")  # the byte-order mark of "CSV UTF-8" files
     return (_read_blocks(text, header) or _read_rows(text, header)).balanced()
 
 

@@ -28,7 +28,7 @@ steps are numpy's documented SeedSequence algorithm, whose output numpy
 keeps stable across releases; the keys must equal SeedSequence's bit
 for bit, or every frequency table changes. The draws then run through
 one Philox whose key is set, and counter zeroed, per replication into a
-buffer of about ``_CHUNK_VALUES`` values. One pass over the chunk gives
+fresh array of about ``_CHUNK_VALUES`` values. One pass over the chunk gives
 its level means and residual sums (``sums_of_squares._level_split``, as
 for ``one_way_ss``); every effect size then adds its level effects to
 the means alone, and its sums of squares and
@@ -201,15 +201,14 @@ def _replication_keys(seed: int, p: int, r: int, reps: range) -> np.ndarray:
     return keys
 
 
-def draw_noise(seed: int, p: int, r: int, reps: range, out: np.ndarray | None = None) -> np.ndarray:
+def draw_noise(seed: int, p: int, r: int, reps: range) -> np.ndarray:
     """Standard normal noise of replications ``reps`` of cell (p, r).
 
-    Returns an array of shape (len(reps), p, r), written into ``out``
-    when given. Replication ``rep`` is what a Philox stream seeded with
+    Returns an array of shape (len(reps), p, r). Replication ``rep`` is
+    what a Philox stream seeded with
     ``SeedSequence(entropy=seed, spawn_key=(p, r, rep))`` yields.
     """
-    if out is None:
-        out = np.empty((len(reps), p, r))
+    out = np.empty((len(reps), p, r))
     bit_generator = np.random.Philox(0)  # re-keyed for every replication below
     normal = np.random.Generator(bit_generator).standard_normal
     # a fresh stream: counter at zero, nothing buffered; the state setter
@@ -247,23 +246,19 @@ def _parts(cfg: SimulationConfig, k: int) -> list[list[tuple[int, int, range]]]:
     cells = list(itertools.product(cfg.p_list, cfg.r_list))
     costs = [p * r + _REKEY_VALUES for p, r in cells]
     total = cfg.replications * sum(costs)
-    parts: list[list[tuple[int, int, range]]] = [[]]
+    parts: list[list[tuple[int, int, range]]] = [[] for _ in range(k)]
     done = 0  # cost of the cells before this one
     for (p, r), cost in zip(cells, costs):
-        chunk, start = _chunk_reps(p, r), 0
-        while start < cfg.replications:
-            # the next part begins at the first chunk boundary past its share
-            # of the cost, or with the next cell; the last part takes the rest
-            ahead = cfg.replications
-            if len(parts) < k:
-                ahead = -(-(total * len(parts) // k - done) // cost)
-            cut = min(cfg.replications, max(start, -(-ahead // chunk) * chunk))
-            if cut > start:
-                parts[-1].append((p, r, range(start, cut)))
-            if cut == cfg.replications:
-                break
-            parts.append([])
-            start = cut
+        chunk = _chunk_reps(p, r)
+        # part i starts at the first chunk boundary past i k-ths of the
+        # grid's cost, clipped to this cell: cuts[0] is 0, cuts[k] the cell's end
+        cuts = [
+            min(cfg.replications, max(0, -((done - total * i // k) // (cost * chunk)) * chunk))
+            for i in range(k + 1)
+        ]
+        for part, start, stop in zip(parts, cuts, cuts[1:]):
+            if start < stop:
+                part.append((p, r, range(start, stop)))
         done += cfg.replications * cost
     return [part for part in parts if part]
 
@@ -288,18 +283,18 @@ def _part_hits(cfg: SimulationConfig, part: list[tuple[int, int, range]]) -> lis
     """
     hits = dict.fromkeys(itertools.product(cfg.ca_list, cfg.criteria, cfg.p_list, cfg.r_list), 0)
     for p, r, reps in part:
-        chunk = _chunk_reps(p, r)
-        try:
-            noise_buffer = np.empty((min(chunk, len(reps)), p, r))
-        except (ValueError, MemoryError):  # numpy's "array is too big", or allocation failed
-            raise DomainError(
-                f"cell (p={p}, r={r}) needs {p * r} values per replication, more than memory holds"
-            ) from None
-        alphas = {c_a: make_alpha(p, c_a) for c_a in cfg.ca_list}
+        chunk, alphas = _chunk_reps(p, r), None
         where = f"at (p={p}, r={r}, seed={cfg.seed})"
         for start in range(reps.start, reps.stop, chunk):
-            chunk_reps = range(start, min(start + chunk, reps.stop))
-            noise = draw_noise(cfg.seed, p, r, chunk_reps, out=noise_buffer[: len(chunk_reps)])
+            try:
+                noise = draw_noise(cfg.seed, p, r, range(start, min(start + chunk, reps.stop)))
+            except (ValueError, MemoryError):  # numpy's "array is too big", or allocation failed
+                raise DomainError(
+                    f"cell (p={p}, r={r}) needs {p * r} values per replication,"
+                    " more than memory holds"
+                ) from None
+            # after the first draw, so that a cell too big for memory is named as such
+            alphas = alphas or {c_a: make_alpha(p, c_a) for c_a in cfg.ca_list}
             deviations, w_e = _level_split(noise)
             for c_a, alpha in alphas.items():
                 w_t = w_e + r * np.sum((deviations + alpha) ** 2, axis=-1)
@@ -352,13 +347,8 @@ def run_frequency_experiment(cfg: SimulationConfig) -> FrequencyTable:
     values = reps * sum(p * r for p, r in itertools.product(cfg.p_list, cfg.r_list))
     k = max(1, min(_cpus(), values // _FORK_VALUES))
     keys = list(itertools.product(cfg.ca_list, cfg.criteria, cfg.p_list, cfg.r_list))
-    alternative = [0] * len(keys)
     parts = map_parts(_part_hits, [(cfg, part) for part in _parts(cfg, k)])
-    try:
-        for part in parts:
-            alternative = [a + b for a, b in zip(alternative, part)]
-    finally:
-        parts.close()
+    alternative = [sum(hits) for hits in zip(*parts)]
     if cfg.model is Model.NULL:
         alternative = [reps - hits for hits in alternative]
     return FrequencyTable(

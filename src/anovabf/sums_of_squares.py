@@ -27,6 +27,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .errors import DegenerateDesignError
+
 if TYPE_CHECKING:  # the CSV reader is not loaded by consumers of plain arrays
     from .datasets import OneWayDataset, TwoWayDataset
 
@@ -137,8 +139,11 @@ def one_way_ss(data: OneWayDataset | np.ndarray) -> OneWaySS:
     ``data`` is a dataset or an array of shape (..., p, r). The leading
     axes of an array index datasets, and the fields are then arrays over
     them; each dataset's sums equal those of its own 2-D slice bit for bit.
+    An array of fewer than 2 dimensions raises :class:`DegenerateDesignError`.
     """
     y = np.asarray(getattr(data, "values", data))
+    if y.ndim < 2:
+        raise DegenerateDesignError(f"need a (..., levels, replicates) array, got {y.shape}")
     return _at_any_scale(_one_way_sums, y, (-2, -1))
 
 

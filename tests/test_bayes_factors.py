@@ -293,6 +293,15 @@ class TestLogBfs:
         assert fb.tolist() == [f for f, _ in pairs]
         assert bic.tolist() == [b for _, b in pairs]
 
+    @pytest.mark.parametrize("shape", [(), (1, 1), (2, 4), (2, 2, 2)])
+    def test_array_of_any_shape_equals_its_elements(self, shape):
+        shares = self.shares[: math.prod(shape)].reshape(shape)
+        fb, bic = log_bfs(40, 5, shares)
+        assert fb.shape == bic.shape == shape
+        pairs = [log_bfs(40, 5, x) for x in shares.ravel().tolist()]
+        assert fb.ravel().tolist() == [f for f, _ in pairs]
+        assert bic.ravel().tolist() == [b for _, b in pairs]
+
     def test_shares_clamped_into_unit_interval(self):
         assert log_bfs(8, 2, -1e-300) == log_bfs(8, 2, 0.0) == (math.inf, math.inf)
         assert log_bfs(8, 2, 1.0 + 1e-15) == log_bfs(8, 2, 1.0)

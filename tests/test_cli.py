@@ -2,6 +2,7 @@ import hashlib
 import importlib.metadata
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from anovabf import datasets, simulation
-from anovabf.cli import _jsonify, run, write_csv
+from anovabf.cli import _jsonify, entry_point, run, write_csv
 from anovabf.datasets import ONE_WAY_HEADER, TWO_WAY_HEADER
 from anovabf.errors import DomainError
 
@@ -625,6 +626,19 @@ class TestForkedSimulate:
 
 
 class TestInstalledEntryPoints:
+    @pytest.mark.parametrize("preset, threads", [(None, "1"), ("4", "4")], ids=["unset", "preset"])
+    def test_one_openblas_thread_unless_set(self, preset, threads, monkeypatch, capsys):
+        # set first, so that the variable is restored to its state before the test
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset or "")
+        if preset is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        monkeypatch.setattr(sys, "argv", ["anovabf", "consistency", "h", "--r", "2"])
+        with pytest.raises(SystemExit) as leaving:
+            entry_point()
+        assert leaving.value.code == 0
+        assert json.loads(capsys.readouterr().out) == {"r": 2, "h": 1.0}
+        assert os.environ["OPENBLAS_NUM_THREADS"] == threads
+
     def test_module_invocation(self, child_env):
         proc = subprocess.run(
             [sys.executable, "-m", "anovabf", "consistency", "h", "--r", "5"],

@@ -490,6 +490,45 @@ class TestRangesAgreeWithOneRange:
         no_children()
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark before the header, as spreadsheets that save
+    "CSV UTF-8" write it, is dropped by both passes."""
+
+    LAYOUTS = {
+        "one-way": (
+            parse_one_way, "level,value\n" + "".join(f"L{i % 3},{i * 0.75}\n" for i in range(12))
+        ),
+        "two-way": (parse_two_way, two_way_text(CELL_ROWS)),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_columnar_pass(self, layout, monkeypatch):
+        parse, text = self.LAYOUTS[layout]
+        plain = outcome(parse, text)
+        assert isinstance(plain[0], tuple)
+        monkeypatch.setattr(datasets, "_read_rows", refuse_rows)
+        assert outcome(parse, "\ufeff" + text) == plain
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_row_pass(self, layout):
+        parse, text = self.LAYOUTS[layout]
+        # a quoted label sends the text to the row reader
+        quoted = text.replace("\nL1,", '\n"L1",').replace("\na1,", '\n"a1",')
+        assert quoted != text
+        plain = outcome(parse, text)
+        assert outcome(parse, quoted) == plain
+        assert outcome(parse, "\ufeff" + quoted) == plain
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_same_line_in_errors(self, layout):
+        parse, text = self.LAYOUTS[layout]
+        lines = text.split("\n")
+        bad = "\n".join([*lines[:4], lines[4].rsplit(",", 1)[0] + ",oops", *lines[5:]])
+        error = outcome(parse, bad)
+        assert error == ("ParseError", "line 5: expected a finite number, got 'oops'")
+        assert outcome(parse, "\ufeff" + bad) == error
+
+
 class TestBalancedPlacement:
     """``_Columns.balanced`` places the values as a stable argsort of the
     int64 cell indices does, whether the indices take one 16-bit digit or

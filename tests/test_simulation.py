@@ -187,8 +187,7 @@ class TestDrawNoise:
 
     def test_equals_one_stream_per_replication(self):
         reps = range(5, 12)
-        out = np.full((len(reps), 7, 3), np.nan)
-        assert draw_noise(2**40 + 3, 7, 3, reps, out=out) is out
+        out = draw_noise(2**40 + 3, 7, 3, reps)
         for i, rep in enumerate(reps):
             np.testing.assert_array_equal(out[i], reference_values(2**40 + 3, 7, 3, 0.0, rep))
 
@@ -311,9 +310,9 @@ class TestFrequencyExperiment:
     def test_noise_drawn_once_per_chunk(self, monkeypatch):
         draw, calls = simulation.draw_noise, []
 
-        def counted(seed, p, r, reps, out=None):
+        def counted(seed, p, r, reps):
             calls.append((p, r, reps))
-            return draw(seed, p, r, reps, out)
+            return draw(seed, p, r, reps)
 
         monkeypatch.setattr(simulation, "draw_noise", counted)
         run_frequency_experiment(self.small_cfg(ca_list=(0.5, 1.0, 2.0)))
@@ -323,8 +322,8 @@ class TestFrequencyExperiment:
     def test_zero_total_names_replication(self, chunk_values, monkeypatch):
         draw = simulation.draw_noise
 
-        def flat_replication_13(seed, p, r, reps, out=None):
-            noise = draw(seed, p, r, reps, out)
+        def flat_replication_13(seed, p, r, reps):
+            noise = draw(seed, p, r, reps)
             if 13 in reps:
                 # noise that cancels the level effects leaves every value 0
                 noise[reps.index(13)] = -make_alpha(p, 1.0)[:, None]
@@ -507,6 +506,36 @@ class TestPartsAgreeWithOnePart:
         chunk = simulation._chunk_reps
         assert all(span.start % chunk(p, r) == 0 for p, r, span in spans)
 
+    def test_parts_share_the_cost_to_within_a_chunk(self, monkeypatch):
+        # a replication costs its p * r values and its stream set-up; a part
+        # starts at the first chunk boundary past its share of the grid's cost
+        rng = np.random.default_rng(24)
+        checked = 0
+        for _ in range(2000):
+            chunk_values = int(rng.choice([1, 12, 64, 256, 2**16]))
+            monkeypatch.setattr(simulation, "_CHUNK_VALUES", chunk_values)
+            cfg = SimulationConfig(
+                model=Model.NULL,
+                p_list=tuple(rng.choice(range(2, 40), rng.integers(1, 5), replace=False).tolist()),
+                r_list=tuple(rng.choice(range(2, 30), rng.integers(1, 4), replace=False).tolist()),
+                replications=int(rng.integers(1, 2 ** rng.integers(1, 21), endpoint=True)),
+            )
+            k = int(rng.choice([2, 3, 4, 7]))
+            cut = simulation._parts(cfg, k)
+            if len(cut) < k:
+                continue
+            cost = {
+                (p, r): p * r + simulation._REKEY_VALUES
+                for p, r in itertools.product(cfg.p_list, cfg.r_list)
+            }
+            costs = [sum(len(reps) * cost[p, r] for p, r, reps in part) for part in cut]
+            largest = max(
+                min(simulation._chunk_reps(p, r), cfg.replications) * cost[p, r] for p, r in cost
+            )
+            assert all(abs(k * part - sum(costs)) <= k * largest for part in costs)
+            checked += 1
+        assert checked > 1000
+
     def test_forks_from_a_million_values_per_cpu(self, forks, no_children, monkeypatch):
         monkeypatch.setattr(simulation, "_cpus", lambda: 2)
         cfg = SimulationConfig(model=Model.NULL, p_list=(16,), r_list=(8,), seed=5)
@@ -523,8 +552,8 @@ class TestPartsAgreeWithOnePart:
         of ``value`` for each ``(p, r, rep, value)`` of faults."""
         draw = simulation.draw_noise
 
-        def broken(seed, p, r, reps, out=None):
-            noise = draw(seed, p, r, reps, out)
+        def broken(seed, p, r, reps):
+            noise = draw(seed, p, r, reps)
             for q, s, rep, value in faults:
                 if (q, s) == (p, r) and rep in reps:
                     noise[reps.index(rep)] = value

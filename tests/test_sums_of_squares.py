@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from anovabf.bayes_factors import Model, one_way_report, score, two_way_reports
 from anovabf.datasets import OneWayDataset, TwoWayDataset
+from anovabf.errors import DegenerateDesignError
 from anovabf.sums_of_squares import one_way_ss, two_way_ss
 
 
@@ -148,6 +150,12 @@ def test_one_way_batch_equals_each_dataset(shape):
         single = one_way_ss(OneWayDataset(values=batch[i]))
         assert (ss.w_e[i], ss.w_h[i], ss.w_t[i]) == (single.w_e, single.w_h, single.w_t)
     assert one_way_ss(batch[0]) == one_way_ss(OneWayDataset(values=batch[0]))
+
+
+@pytest.mark.parametrize("y", [np.float64(1.0), np.array([1.0, 2.0, 3.0])], ids=["0-d", "1-d"])
+def test_one_way_needs_levels_and_replicates(y):
+    with pytest.raises(DegenerateDesignError, match=re.escape(f"got {np.shape(y)}")):
+        one_way_ss(y)
 
 
 SCALES = [1e-200, 1e-160, 1e160, 1e200]
