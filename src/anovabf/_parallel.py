@@ -33,6 +33,11 @@ def cpus() -> int:
     return len(affinity(0)) if affinity else 1
 
 
+def part_count(work: int, minimum: int) -> int:
+    """Parts to cut ``work`` into: one per CPU, each of at least ``minimum``, or one."""
+    return max(1, min(cpus(), work // minimum))
+
+
 def _fork(fn: Callable, part: Sequence) -> tuple[int, io.BufferedReader] | None:
     """Start a child that sends ``fn(*part)`` down a pipe and exits with 0.
 

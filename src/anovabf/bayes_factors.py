@@ -202,7 +202,7 @@ def log_bf_fb_one_way(ss: OneWaySS, p: int, r: int) -> float:
     total = unit.w_e + unit.w_h
     if total == 0.0:
         raise DegenerateDataError("total sum of squares is zero")
-    return _log_bf_fb_kernel(p * r, p, _log_share(unit.w_e / total))
+    return log_bfs(p * r, p, unit.w_e / total)[0]
 
 
 def _two_way_fits(p: int, q: int) -> dict[Model, tuple[int, tuple[str, ...]]]:

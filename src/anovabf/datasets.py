@@ -30,8 +30,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from ._parallel import cpus as _cpus
-from ._parallel import map_parts
+from ._parallel import map_parts, part_count
 from .errors import BalanceError, DegenerateDesignError, DomainError, ParseError
 
 ONE_WAY_HEADER = ("level", "value")
@@ -249,7 +248,7 @@ def _read_blocks(text: str, header: tuple[str, ...]) -> _Columns | None:
     if tuple(h.strip().lower() for h in text[:start].rstrip("\n").split(",")) != header:
         return None
     stop = len(text) - text.endswith("\n")
-    k = max(1, min(_cpus(), (stop - start) // _FORK_CHARS))
+    k = part_count(stop - start, _FORK_CHARS)
     starts = [start]
     for i in range(1, k):
         end = text.find("\n", max(starts[-1], start + (stop - start) * i // k), stop)

@@ -56,8 +56,7 @@ import numpy as np
 # that each part does not load it again
 import numpy.random  # noqa: F401
 
-from ._parallel import cpus as _cpus
-from ._parallel import map_parts
+from ._parallel import map_parts, part_count
 from .bayes_factors import Criterion, Model, log_bfs, require_truth
 from .errors import DegenerateDataError, DomainError, require_design, require_effect
 from .sums_of_squares import _level_split, one_way_ss
@@ -345,7 +344,7 @@ def run_frequency_experiment(cfg: SimulationConfig) -> FrequencyTable:
     """
     reps = cfg.replications
     values = reps * sum(p * r for p, r in itertools.product(cfg.p_list, cfg.r_list))
-    k = max(1, min(_cpus(), values // _FORK_VALUES))
+    k = part_count(values, _FORK_VALUES)
     keys = list(itertools.product(cfg.ca_list, cfg.criteria, cfg.p_list, cfg.r_list))
     parts = map_parts(_part_hits, [(cfg, part) for part in _parts(cfg, k)])
     alternative = [sum(hits) for hits in zip(*parts)]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import anovabf.bayes_factors as bayes_factors
 from anovabf.bayes_factors import (
     Model,
     choose_model,
@@ -343,7 +344,7 @@ def outcome(fn, *args):
 
 
 class TestOneWayFactorWithoutReport:
-    """log_bf_fb_one_way scores the kernel without building the report:
+    """log_bf_fb_one_way scores through log_bfs without building the report:
     its value and its errors are the report's, bit for bit."""
 
     cases = {
@@ -378,3 +379,17 @@ class TestOneWayFactorWithoutReport:
         errors = {result[0] for result in results if isinstance(result, tuple)}
         assert errors == {"DomainError", "DegenerateDataError"}
         assert "inf" in results
+
+    @pytest.mark.parametrize("case", ["share-0", "share-0.3", "share-1", "unit-scaled-1e200"])
+    def test_scores_through_log_bfs_once(self, case, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return log_bfs(*args)
+
+        monkeypatch.setattr(bayes_factors, "log_bfs", counted)
+        ss = self.cases[case]
+        value = log_bf_fb_one_way(ss, 3, 4)
+        assert len(calls) == 1
+        assert float.hex(value) == float.hex(one_way_report(ss, 3, 4).log_bf_fb)

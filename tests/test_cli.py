@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anovabf import datasets, simulation
+from anovabf import _parallel, datasets, simulation
 from anovabf.cli import _jsonify, entry_point, run, write_csv
 from anovabf.datasets import ONE_WAY_HEADER, TWO_WAY_HEADER
 from anovabf.errors import DomainError
@@ -65,9 +65,7 @@ class TestUsageErrors:
             ["bf", "one-way", "--input", "x.csv", "--json", "--csv"],
             ["oracle", "check", "--p", "3", "--r", "2"],
             ["simulate", "--truth", "bogus", "--p", "2", "--r", "2"],
-            ["simulate", "--truth", "m1", "--p", "2", "--r", "2", "--ca", "1"],
             ["simulate", "--truth", "ma1", "--p", "2", "--r", "2", "--criteria", "fb,bogus"],
-            ["simulate", "--truth", "ma1", "--p", "2", "--r", "2", "--ca", "1", "--ca", "1.0"],
         ],
     )
     def test_rejected_with_code_two(self, argv):
@@ -112,13 +110,14 @@ class TestRuntimeErrors:
             ["--p", "3", "--p", "3", "--r", "2"],
             ["--p", "3", "--r", "2", "--r", "2"],
             ["--p", "3", "--r", "2", "--criteria", "fb,FB"],
+            ["--p", "3", "--r", "2", "--ca", "1.0"],
         ],
-        ids=["p", "r", "criteria"],
+        ids=["p", "r", "criteria", "ca"],
     )
     def test_duplicate_grid_values(self, grid, capsys):
         assert run(["simulate", "--truth", "ma1", "--ca", "1", "--reps", "5", *grid]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "duplicate" in err
+        assert err.startswith("error:") and "duplicate" in err and err.count("\n") == 1
         assert "Traceback" not in err and "Criterion" not in err
 
 
@@ -204,6 +203,10 @@ class TestRuntimeErrors:
                 ["oracle", "check", "--p", "3", "--r", "1", "--ratio", "0.5"],
                 "need n > p_alt, got n=3, p_alt=3",
             ),
+            (
+                ["simulate", "--truth", "m1", "--p", "2", "--r", "2", "--ca", "1"],
+                "c_a must be 0 under model '1'",
+            ),
         ],
         ids=[
             "oracle-b-1e20",
@@ -218,6 +221,7 @@ class TestRuntimeErrors:
             "consistency-two-way-r-10**400",
             "oracle-p-10**400",
             "oracle-n-equals-p",
+            "simulate-m1-ca-1",
         ],
     )
     def test_single_error_line(self, argv, message, capsys, recwarn):
@@ -560,11 +564,11 @@ class TestLargeInput:
     def test_same_stdout_with_and_without_forks(self, large, forks, no_children, monkeypatch, capsys):
         layout, path = large
         argv = ["bf", layout, "--input", path]
-        monkeypatch.setattr(datasets, "_cpus", lambda: 2)
+        monkeypatch.setattr(_parallel, "cpus", lambda: 2)
         forked = self.stdout(capsys, argv)
         assert len(forks) == 1
         no_children()
-        monkeypatch.setattr(datasets, "_cpus", lambda: 1)
+        monkeypatch.setattr(_parallel, "cpus", lambda: 1)
         assert self.stdout(capsys, argv) == forked
         assert len(forks) == 1
 
@@ -602,13 +606,13 @@ class TestForkedSimulate:
 
     def test_same_stdout_on_one_cpu_and_two(self, forks, no_children, monkeypatch, capfd):
         assert 2000 * (20 + 50 + 100 + 250 + 200 + 500) >= 2 * simulation._FORK_VALUES
-        monkeypatch.setattr(simulation, "_cpus", lambda: 2)
+        monkeypatch.setattr(_parallel, "cpus", lambda: 2)
         forked = self.stdout(capfd)
         assert len(forks) == 1
         no_children()
         assert forked.count("criterion,") == 1
         assert len(forked.splitlines()) == 1 + 2 * 2 * 3 * 2
-        monkeypatch.setattr(simulation, "_cpus", lambda: 1)
+        monkeypatch.setattr(_parallel, "cpus", lambda: 1)
         assert self.stdout(capfd) == forked
         assert len(forks) == 1
 
@@ -621,7 +625,7 @@ class TestForkedSimulate:
         )
         assert proc.returncode == 0
         assert proc.stderr == ""
-        monkeypatch.setattr(simulation, "_cpus", lambda: 1)
+        monkeypatch.setattr(_parallel, "cpus", lambda: 1)
         assert proc.stdout == self.stdout(capfd)
 
 

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from anovabf import datasets
+from anovabf import _parallel, datasets
 from anovabf.cli import write_csv
 from anovabf.datasets import (
     ONE_WAY_HEADER,
@@ -396,7 +396,7 @@ class TestRangesAgreeWithOneRange:
     @pytest.fixture(params=[2, 3], ids=lambda k: f"ranges-{k}")
     def ranges(self, request, monkeypatch):
         monkeypatch.setattr(datasets, "_FORK_CHARS", 1)
-        monkeypatch.setattr(datasets, "_cpus", lambda: request.param)
+        monkeypatch.setattr(_parallel, "cpus", lambda: request.param)
         limit = csv.field_size_limit(40)
         yield request.param
         csv.field_size_limit(limit)
@@ -406,7 +406,7 @@ class TestRangesAgreeWithOneRange:
         ranged = outcome(parse_two_way, RANGED[case])
         assert len(forks) == ranges - 1
         no_children()
-        monkeypatch.setattr(datasets, "_cpus", lambda: 1)
+        monkeypatch.setattr(_parallel, "cpus", lambda: 1)
         assert outcome(parse_two_way, RANGED[case]) == ranged
         assert len(forks) == ranges - 1
         no_children()

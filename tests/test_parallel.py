@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from anovabf._parallel import map_parts
+from anovabf import _parallel
+from anovabf._parallel import map_parts, part_count
 
 PARTS = [(2, 3), (3, 2), (5, 1), (7, 0)]
 RESULTS = [[2, 8], [3, 9], [5, 5], [7, 1]]
@@ -62,3 +63,22 @@ class TestMapParts:
         assert map_parts(power, PARTS[:1]) == RESULTS[:1]
         assert forks == []
         no_children()
+
+
+class TestPartCount:
+    @pytest.fixture(params=[1, 2, 7])
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(_parallel, "cpus", lambda: request.param)
+        return request.param
+
+    def test_work_below_the_minimum_is_one_part(self, cpus):
+        assert part_count(0, 100) == 1
+        assert part_count(99, 100) == 1
+
+    def test_work_of_many_minimums_is_one_part_per_cpu(self, cpus):
+        assert part_count(100 * 8, 100) == cpus
+        assert part_count(10**9, 100) == cpus
+
+    def test_work_between_is_one_part_per_minimum(self, cpus):
+        for work in range(100, 100 * cpus + 1):
+            assert part_count(work, 100) == work // 100

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import anovabf._parallel as _parallel
 import anovabf.bayes_factors as bayes_factors
 import anovabf.simulation as simulation
 from anovabf.bayes_factors import Criterion, Model, one_way_report
@@ -475,7 +476,7 @@ class TestPartsAgreeWithOnePart:
     @pytest.fixture(params=[2, 3], ids=lambda k: f"parts-{k}")
     def parts(self, request, monkeypatch):
         monkeypatch.setattr(simulation, "_FORK_VALUES", 1)
-        monkeypatch.setattr(simulation, "_cpus", lambda: request.param)
+        monkeypatch.setattr(_parallel, "cpus", lambda: request.param)
         return request.param
 
     def cfg(self, case):
@@ -490,7 +491,7 @@ class TestPartsAgreeWithOnePart:
         forked = table_rows(cfg)
         assert len(forks) == parts - 1
         no_children()
-        monkeypatch.setattr(simulation, "_cpus", lambda: 1)
+        monkeypatch.setattr(_parallel, "cpus", lambda: 1)
         assert table_rows(cfg) == forked
         assert len(forks) == parts - 1
         no_children()
@@ -537,7 +538,7 @@ class TestPartsAgreeWithOnePart:
         assert checked > 1000
 
     def test_forks_from_a_million_values_per_cpu(self, forks, no_children, monkeypatch):
-        monkeypatch.setattr(simulation, "_cpus", lambda: 2)
+        monkeypatch.setattr(_parallel, "cpus", lambda: 2)
         cfg = SimulationConfig(model=Model.NULL, p_list=(16,), r_list=(8,), seed=5)
         reps = 2 * simulation._FORK_VALUES // 128
         table_rows(replace(cfg, replications=reps - 1))
@@ -588,7 +589,7 @@ class TestPartsAgreeWithOnePart:
         assert "seed=0" in forked[1]
         assert len(forks) == parts - 1
         no_children()
-        monkeypatch.setattr(simulation, "_cpus", lambda: 1)
+        monkeypatch.setattr(_parallel, "cpus", lambda: 1)
         assert outcome(cfg) == forked
 
     def test_same_cell_size_error_from_a_later_part(self, parts, forks, no_children, monkeypatch):
@@ -605,7 +606,7 @@ class TestPartsAgreeWithOnePart:
         assert forked[0] == "DomainError" and forked[1].startswith("cell (p=4, r=3) needs 12 values")
         assert len(forks) == parts - 1
         no_children()
-        monkeypatch.setattr(simulation, "_cpus", lambda: 1)
+        monkeypatch.setattr(_parallel, "cpus", lambda: 1)
         assert outcome(cfg) == forked
 
     def test_part_of_a_child_that_dies_is_run_here(self, parts, forks, no_children, monkeypatch):
