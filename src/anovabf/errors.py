@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
 import math
+import operator
 
 
 class AnovaBFError(Exception):
@@ -57,9 +58,14 @@ def require_double(owner: str, **counts: int) -> None:
 
 
 def require_design(owner: str, **counts: int) -> None:
-    """Raise :class:`DomainError` naming the first design count below 2, or
-    else, through :func:`require_double`, the first too large for a double."""
+    """Raise :class:`DomainError` naming the first design count that is not an
+    integer or is below 2, or else, through :func:`require_double`, the first too
+    large for a double."""
     for name, value in counts.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise DomainError(f"need an integer {name}, got {value!r}") from None
         if value < 2:
             raise DomainError(f"need {name} >= 2, got {value}")
     require_double(owner, **counts)

@@ -104,17 +104,22 @@ class _Step:
     """x -> softplus(v + x) - softplus(v) without cancellation near x = 0, at
     one float (the range search) or over an array (the integrand).
 
-    Built once per v, it holds the mirror flag v > 0 and the softplus and
-    sigmoid of w = -|v|. For v <= 0 the step is log1p(sigmoid(v) * expm1(x)),
-    whose argument stays above -1/2, or past x = 700, where expm1 overflows,
-    the plain difference; for v > 0 it is the mirror x + step(-v, -x). Near
-    0 the plain difference cancels, for huge coefficients to values that
-    end the range search where the integrand is noise."""
+    Built once per v, it holds the mirror flag v > 0, the softplus and
+    sigmoid of w = -|v|, and from them the floats _softplus and _sigmoid
+    give for the peak's softplus(v) and the curvature's sigmoid(±v). For
+    v <= 0 the step is log1p(sigmoid(v) * expm1(x)), whose argument stays
+    above -1/2, or past x = 700, where expm1 overflows, the plain
+    difference; for v > 0 it is the mirror x + step(-v, -x). Near 0 the
+    plain difference cancels, for huge coefficients to values that end
+    the range search where the integrand is noise."""
 
     def __init__(self, v: float):
         self.mirror, self.w = v > 0.0, -abs(v)
         self.base = _softplus(self.w)
         self.weight = math.exp(self.w - self.base)  # _sigmoid(w)
+        self.softplus = max(v, 0.0) + self.base
+        self.sigmoid = math.exp(v - self.softplus)
+        self.sigmoid_neg = math.exp(-v - (max(-v, 0.0) + self.base))
 
     def at(self, x: float) -> float:
         y = -x if self.mirror else x
@@ -205,12 +210,12 @@ def log_bf_quadrature(n: int, p_alt: int, ratio: float, prior: BetaPrimePrior) -
         raise ConvergenceError(message, math.nan)
     v = m + log_ratio
     step_v = _Step(v)
-    peak = -beta * _softplus(v)
-    curvature = beta * _sigmoid(v) * _sigmoid(-v)
+    peak = -beta * step_v.softplus
+    curvature = beta * step_v.sigmoid * step_v.sigmoid_neg
     if alpha:
         step_m = _Step(m)
-        peak += alpha * _softplus(m)
-        curvature -= alpha * _sigmoid(m) * _sigmoid(-m)
+        peak += alpha * step_m.softplus
+        curvature -= alpha * step_m.sigmoid * step_m.sigmoid_neg
     peak += k * m
 
     def shifted_at(x: float) -> float:

@@ -5,24 +5,22 @@ consume. Totals are stored as the sum of their components so the
 partition identity holds exactly in floating point; an independent
 grand-mean computation of the total is a test concern, not an output.
 
-Sums hold at any data scale. When a dataset's total falls outside
-2**-600 .. 2**600 (or is 0, or not finite), where its squares may have
-overflowed or lost bits in the subnormal range, the decomposition is
-taken again on the data multiplied by the power of two that brings the
-largest magnitude of each dataset into [0.5, 1). Scaling by a power of
-two is exact, so in range this gives the same sums as the data as given.
-Each result also carries its sums times the power of four that brings
-the total near 1 (the ``unit`` field): the share of the total left by
-any model, which is all the Bayes factors use, is read off those. The
-reported fields are the sums of the data as given: bit for bit the
-plain computation when in range, ``inf`` beyond the largest double and
-0.0 below the smallest.
+Sums hold at any data scale. Each dataset is decomposed once, on the
+data times the power of two that brings its largest magnitude into
+[0.5, 1); those sums are the result's ``unit`` field, off which the
+Bayes factors read each model's share of the total. The reported
+fields are the same sums times the matching power of four: the sums
+of the data as given, ``inf`` beyond the largest double and 0.0 below
+the smallest. Scaling by a power of two is exact, so they are the
+plain computation bit for bit unless a square at either scale
+overflows or is subnormal; at unit magnitude that needs a deviation
+below 2**-511 of the largest magnitude, which moves a sum only when
+the levels holding the largest values are exactly constant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from dataclasses import fields as fields_of
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -32,18 +30,15 @@ from .errors import DegenerateDesignError
 if TYPE_CHECKING:  # the CSV reader is not loaded by consumers of plain arrays
     from .datasets import OneWayDataset, TwoWayDataset
 
-# Totals in this range come from squares that neither overflowed nor lost
-# bits that matter in the subnormal range.
-_TOTAL_RANGE = (2.0**-600, 2.0**600)
-
 
 @dataclass(frozen=True)
 class OneWaySS:
     """Total / within-group / between-group sums of squares.
 
     Floats for one dataset; arrays over the leading axes of a batch.
-    ``unit`` holds the same sums times the power of four that brings the
-    total near 1; a value built without it is taken to be in range as it is.
+    ``unit`` holds the sums of the data scaled to unit magnitude (largest
+    magnitude in [0.5, 1)); a value built without it is read as its own
+    unit sums.
     """
 
     w_t: float
@@ -56,7 +51,7 @@ class OneWaySS:
 class TwoWaySS:
     """Total / factor-A / factor-B / interaction / within sums of squares.
 
-    ``unit`` holds the same sums with the total near 1, as in :class:`OneWaySS`.
+    ``unit`` holds the sums of the data at unit magnitude, as in :class:`OneWaySS`.
     """
 
     w_t: float
@@ -68,33 +63,25 @@ class TwoWaySS:
 
 
 def _at_any_scale(sums_of, y: np.ndarray, axes: tuple[int, ...]):
-    """``sums_of(y)``, taken on each dataset scaled to unit magnitude if any total is out of range.
+    """``sums_of(y)``, taken once on each dataset scaled to unit magnitude.
 
     ``axes`` are the axes of one dataset. Returns the sums of the data
-    as given, with the same sums scaled to a total near 1 as their
-    ``unit`` field.
+    as given, with the unit-magnitude sums as their ``unit`` field.
     """
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        sums = reported = sums_of(y)
-        lo, hi = _TOTAL_RANGE
-        if not np.all((sums.w_t >= lo) & (sums.w_t <= hi)):
-            exponent = np.frexp(np.max(np.abs(y), axis=axes))[1]
-            sums = sums_of(np.ldexp(y, -np.expand_dims(exponent, axes)))
-            reported = _times_four_to(sums, exponent)
-        unit = _times_four_to(sums, -(np.frexp(sums.w_t)[1] // 2))
-    return replace(reported, unit=unit)
+        exponent = np.frexp(np.max(np.abs(y), axis=axes))[1]
+        return _times_four_to(sums_of(np.ldexp(y, -np.expand_dims(exponent, axes))), exponent)
 
 
-def _times_four_to(sums, power):
-    """``sums`` times 4**power, with floats kept floats."""
-    fields = {
-        f.name: np.ldexp(getattr(sums, f.name), 2 * power)
-        for f in fields_of(sums)
+def _times_four_to(unit, power):
+    """``unit`` times 4**power, with floats kept floats, and ``unit`` as its unit field."""
+    cast = float if isinstance(unit.w_t, float) else np.asarray
+    scaled = {
+        f.name: cast(np.ldexp(getattr(unit, f.name), 2 * power))
+        for f in fields(unit)
         if f.name != "unit"
     }
-    if isinstance(sums.w_t, float):
-        fields = {name: float(v) for name, v in fields.items()}
-    return type(sums)(**fields)
+    return type(unit)(**scaled, unit=unit)
 
 
 def _level_split(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,10 @@
 """Every entry that takes design counts, effect sizes or a one-way truth
 rejects a value outside the paper's domain with DomainError: never
-OverflowError, numpy's ValueError, or a value computed from it."""
+OverflowError, TypeError, numpy's ValueError, or a value computed from it."""
 
 import math
 
+import numpy as np
 import pytest
 
 from anovabf.bayes_factors import (
@@ -104,11 +105,23 @@ TWO_WAY_TRUTH = {
 }
 
 
-@pytest.mark.parametrize("count", [1, HUGE], ids=["1", "10**400"])
+@pytest.mark.parametrize("count", [1, HUGE, 2.5], ids=["1", "10**400", "2.5"])
 @pytest.mark.parametrize("entry", sorted(COUNTS))
 def test_count_outside_the_design(entry, count):
     with pytest.raises(DomainError):
         COUNTS[entry](count)
+
+
+def test_count_that_is_not_an_integer_is_named():
+    with pytest.raises(DomainError, match=r"need an integer r, got 2\.5"):
+        h_threshold(2.5)
+    with pytest.raises(DomainError, match=r"need an integer p, got 3\.0"):
+        make_alpha(3.0, 0.5)
+
+
+def test_numpy_integer_counts_pass():
+    assert h_threshold(np.int64(2)) == 1.0
+    assert make_alpha(np.int32(3), 0.5).tolist() == make_alpha(3, 0.5).tolist()
 
 
 @pytest.mark.parametrize("entry", sorted(PRODUCTS))

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -179,8 +180,8 @@ class TestDataScale:
 
     @pytest.mark.parametrize("scale", [1e-100, 1e-3, 1.0, 7.25, 3e4, 1e100])
     def test_in_range_sums_bit_for_bit(self, scale):
-        # at 1e-100 and 1e100 the totals leave 2**-600 .. 2**600 and the data is
-        # rescaled, which is exact: the sums do not move
+        # each dataset is decomposed at unit magnitude and scaled back by a power
+        # of four, which is exact: the sums are those of the plain computation
         rng = np.random.default_rng(23)
         for shape in [(2, 2), (7, 4), (20, 10)]:
             y = rng.normal(loc=3.0, size=shape) * scale
@@ -207,6 +208,26 @@ class TestDataScale:
         for model, report in base.items():
             assert scaled[model].log_bf_fb == pytest.approx(report.log_bf_fb, rel=1e-9, abs=1e-9)
             assert scaled[model].log_bf_bic == pytest.approx(report.log_bf_bic, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("k", [-1000, -601, -600, -520, -1, 0, 1, 600, 601, 1000])
+    @pytest.mark.parametrize("layout", ["one-way", "batch", "two-way"])
+    def test_power_of_two_scale_bit_for_bit(self, layout, k):
+        # the unit sums do not move, and the reported sums are the k = 0 sums
+        # times 4**k rounded once: inf past the largest double, subnormal or 0.0
+        # below the normal range
+        y = np.random.default_rng(24).normal(loc=3.0, size=(6, 5, 4))
+        y, decompose = {
+            "one-way": (y[0], lambda y: one_way_ss(OneWayDataset(values=y))),
+            "batch": (y * 2.0 ** np.arange(-3, 3)[:, None, None], one_way_ss),
+            "two-way": (y, lambda y: two_way_ss(TwoWayDataset(values=y))),
+        }[layout]
+        base, ss = decompose(y), decompose(np.ldexp(y, k))
+        for name in [f.name for f in fields(base) if f.name != "unit"]:
+            with np.errstate(over="ignore", under="ignore"):
+                want = np.ldexp(getattr(base, name), 2 * k)
+            assert np.array_equal(getattr(ss, name), want), name
+            assert type(getattr(ss, name)) is type(getattr(base, name)), name
+            assert np.array_equal(getattr(ss.unit, name), getattr(base.unit, name)), name
 
     def test_batch(self):
         batch = np.stack([self.y * scale for scale in [1.0, *SCALES]])
