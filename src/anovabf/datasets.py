@@ -2,20 +2,29 @@
 
 Observations are held as dense arrays indexed by factor level (and
 replicate), so downstream sums of squares are plain axis reductions.
-Both layouts are read column by column: text with no quote, CR or NUL,
+Both layouts are read column by column. Text with no quote, CR or NUL,
 a matching header and exactly ``width - 1`` commas on every line is cut
-into blocks of about 1 MiB, each block is split once, and each column is
-a stride of its fields. Large plain text is cut at newlines into ranges
-of at least 4 MiB, one per CPU at most, which forked processes code in
-parallel; the ranges are merged in file order, so the levels and array
-are those of one range. Any other text (quoting, CRLF, blank lines, a
-bad field count or value) is read row by row by ``csv.reader``, whose
-errors name the line. Both passes code labels the same way and share one
-balance check, so both give the same levels and array. Level labels are
-arbitrary strings, stripped of surrounding whitespace, and internal
-indices follow first appearance in the input, which is harmless because
-every statistic computed from these datasets is label-invariant. Both
-dataset classes share one frozen base, whose validator checks them.
+into blocks of about 1 MiB; each block is encoded to UTF-8 once, and the
+byte positions of its commas and newlines give every field's span. Each
+label column is coded from its bytes in numpy by ``_code_labels``, which
+packs the fields into 64-bit keys and groups them with one sort, so a
+Python string is made per distinct label of a block, not per label
+field; the value fields alone are cut out as strings and read by
+``float``. Large plain text is cut at newlines into ranges of at least
+4 MiB, one per CPU at most, which forked processes code in parallel; the
+ranges are merged in file order, so the levels and array are those of
+one range. This columnar pass refuses a line without exactly
+``width - 1`` commas, a line of more bytes than the csv field size
+limit, and a value that ``float`` refuses or that is not finite. Such
+text, and text with quoting, CRLF or blank lines, is read row by row by
+``csv.reader``, whose errors name the line. The row pass joins each
+label column of a batch of rows into one buffer for the same coder, and
+both passes share one balance check, so both give the same levels and
+array. Level labels are arbitrary strings, stripped of surrounding
+whitespace, and internal indices follow first appearance in the input,
+which is harmless because every statistic computed from these datasets
+is label-invariant. Both dataset classes share one frozen base, whose
+validator checks them.
 """
 
 from __future__ import annotations
@@ -37,13 +46,15 @@ ONE_WAY_HEADER = ("level", "value")
 TWO_WAY_HEADER = ("a", "b", "value")
 
 # Characters of CSV text coded per step of the columnar pass, and rows per
-# step of the row-by-row pass; a step's intermediate lists take a few times
-# this text in memory.
+# step of the row-by-row pass; a step's intermediate arrays and lists take a
+# few times this text in memory.
 _BLOCK_CHARS = 1 << 20
 _BLOCK_ROWS = 1 << 15
 # Fewest characters of CSV text given to one process of the columnar pass:
 # a fork and the transfer of a range's result cost a few milliseconds.
 _FORK_CHARS = 1 << 22
+# the bytes of a little-endian word below each length from 0 to 7
+_LOW_BYTES = np.array([(1 << 8 * length) - 1 for length in range(8)], dtype=np.uint64)
 
 
 def _freeze(dataset) -> None:
@@ -116,26 +127,26 @@ class _Columns:
     """Rows coded column by column: label codes per factor and the values.
 
     Each factor's levels are its stripped labels in first-appearance order;
-    a label's code is its level's position.
+    a label's code is its level's position. This is the one place where a
+    raw label becomes a level: rows arrive in batches, each factor's
+    labels as the batch's distinct raw labels in first-appearance order
+    (from ``_code_labels``) with each row's index into them, so a label is
+    stripped and looked up once per batch, not once per row.
     """
 
     def __init__(self, factors: int):
         self.levels: list[dict[str, int]] = [{} for _ in range(factors)]
-        self._written: list[dict[str, int]] = [{} for _ in range(factors)]
         self.codes = [array("q") for _ in range(factors)]
         self.values = array("d")
 
-    def add(self, labels: list[Sequence[str]], values: Iterable) -> None:
-        """Append rows given as one label column per factor and a value column.
-
-        Raises ValueError if a value is not a number.
-        """
-        self.values.extend(map(float, values))
-        for level, written, codes, column in zip(self.levels, self._written, self.codes, labels):
-            for label in dict.fromkeys(column):
-                if label not in written:
-                    written[label] = level.setdefault(label.strip(), len(level))
-            codes.extend(map(written.__getitem__, column))
+    def add(self, labels: Iterable[tuple[Sequence[str], np.ndarray]], values: bytes) -> None:
+        """Append rows given per factor as distinct raw labels in
+        first-appearance order and each row's index into them, and the
+        rows' values as the bytes of doubles."""
+        self.values.frombytes(values)
+        for level, codes, (distinct, index) in zip(self.levels, self.codes, labels):
+            remap = [level.setdefault(label.strip(), len(level)) for label in distinct]
+            codes.frombytes(np.array(remap, dtype=np.int64)[index].tobytes())
 
     def wire(self) -> tuple[list[list[str]], list[bytes], bytes]:
         """Each factor's levels in order, the codes and the values: what
@@ -146,14 +157,11 @@ class _Columns:
     def merge(self, levels: list[list[str]], codes: list[bytes], values: bytes) -> None:
         """Append the rows of another ``_Columns`` given in ``wire`` form.
 
-        Its labels take this one's codes, or the next free codes in its
-        order of first appearance, so the merge codes as if its rows had
-        been added here.
+        Its levels, stripped and in order of first appearance, are its
+        rows' distinct labels, so they take this one's codes, or the next
+        free codes in that order, as if its rows had been added here.
         """
-        self.values.frombytes(values)
-        for level, own, labels, coded in zip(self.levels, self.codes, levels, codes):
-            remap = np.array([level.setdefault(label, len(level)) for label in labels], dtype=np.int64)
-            own.frombytes(remap[np.frombuffer(coded, dtype=np.int64)].tobytes())
+        self.add(zip(levels, (np.frombuffer(coded, dtype=np.int64) for coded in codes)), values)
 
     def balanced(self) -> tuple[list, np.ndarray]:
         """Each factor's levels and the dense ``(levels..., replicates)`` array."""
@@ -199,14 +207,76 @@ def _balance_error(levels: list[tuple[str, ...]], sizes: tuple[int, ...], cell) 
     )
 
 
+def _field_keys(raw: bytes, begins: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """A 64-bit key for each field ``raw[begins[i]:ends[i]]``, equal to
+    another field's key exactly when their bytes are equal.
+
+    A field of up to 7 bytes is keyed by its bytes, read as a
+    little-endian word padded with zeros, with its length in the top byte.
+    The wider fields of each length are compared as rows of
+    ``ceil(length / 8)`` such words, the last one ending where the field
+    ends, and keyed by their rank among them with the top bit set. Memory
+    stays linear in ``raw``: no array holds the widest field's words for
+    every field.
+    """
+    data = np.frombuffer(raw + bytes(8), dtype=np.uint8)
+    # the word of the 8 bytes from each offset of raw
+    words = np.ndarray((len(raw) + 1,), dtype="<u8", buffer=data, strides=(1,))
+    lengths = ends - begins
+    keys = words[begins]
+    keys &= _LOW_BYTES[np.minimum(lengths, 7)]
+    keys |= lengths.astype(np.uint64) << np.uint64(56)
+    wide = np.flatnonzero(lengths > 7)
+    wide = wide[np.argsort(lengths[wide], kind="stable")]
+    rank = 1 << 63
+    for rows in np.split(wide, np.flatnonzero(np.diff(lengths[wide])) + 1) if len(wide) else ():
+        length = int(lengths[rows[0]])
+        table = words[begins[rows, None] + np.append(np.arange(0, length - 8, 8), length - 8)]
+        # each row of words as one item, which sorting compares byte by byte
+        order = np.argsort(table.view(f"V{table.shape[1] * 8}").ravel())
+        table = table[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (table[1:] != table[:-1]).any(axis=1)
+        keys[rows[order]] = np.cumsum(new, dtype=np.uint64) + np.uint64(rank - 1)
+        rank += int(np.count_nonzero(new))
+    return keys
+
+
+def _code_labels(raw: bytes, begins: np.ndarray, ends: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct fields ``raw[begins[i]:ends[i]]`` of UTF-8 text, decoded
+    in order of first appearance, and each field's index into them.
+
+    One sort of the fields' keys (``_field_keys``) brings equal fields
+    together, so a Python object is made per distinct field, not per field.
+    """
+    keys = _field_keys(raw, begins, ends)
+    order = np.argsort(keys)
+    keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(new)
+    first = np.minimum.reduceat(order, starts)
+    appearance = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[appearance] = np.arange(len(first))
+    index = np.empty(len(order), dtype=np.int64)
+    index[order] = np.repeat(rank, np.diff(starts, append=len(order)))
+    first = first[appearance]
+    spans = zip(begins[first].tolist(), ends[first].tolist())
+    return [raw[b:e].decode("utf-8", "surrogatepass") for b, e in spans], index
+
+
 def _code_range(text: str, start: int, stop: int, width: int):
     """The ``wire`` form of the coding of ``text[start:stop]``, or None.
 
-    The lines are coded about ``_BLOCK_CHARS`` at a time: each block, cut
-    at a newline, is split once and each column taken as a stride of the
-    fields. Returns None on a line without exactly ``width - 1`` commas,
-    a line of more bytes than the csv field size limit, or a value that
-    is not a finite number.
+    The lines are coded about ``_BLOCK_CHARS`` at a time. Each block, cut
+    at a newline, is encoded to UTF-8 once, and the positions of its
+    commas and newlines give every field's byte span: the label columns
+    are coded from their bytes by ``_code_labels``, and only the value
+    fields are cut out as strings, each read by ``float``. Returns None
+    on a line without exactly ``width - 1`` commas, a line of more bytes
+    than the csv field size limit, or a value that ``float`` refuses or
+    that is not finite.
     """
     limit = csv.field_size_limit()
     separators = np.array([ord(",")] * (width - 1) + [ord("\n")], dtype=np.uint8)
@@ -214,17 +284,24 @@ def _code_range(text: str, start: int, stop: int, width: int):
     while start < stop:
         end = text.find("\n", min(start + _BLOCK_CHARS, stop), stop)
         end = stop if end < 0 else end
-        block = text[start:end]
         # no byte of a multi-byte UTF-8 sequence is a comma or a newline
-        raw = np.frombuffer((block + "\n").encode("utf-8", "surrogatepass"), dtype=np.uint8)
+        encoded = (text[start:end] + "\n").encode("utf-8", "surrogatepass")
+        raw = np.frombuffer(encoded, dtype=np.uint8)
         at = np.flatnonzero((raw == separators[0]) | (raw == separators[-1]))
         if len(at) % width or not (raw[at].reshape(-1, width) == separators).all():
             return None
         if np.diff(at[width - 1 :: width], prepend=-1).max() > limit + 1:
             return None
-        fields = block.replace("\n", ",").split(",")
+        # each field runs from one past the separator before it to its own
+        ends = at.reshape(-1, width)
+        begins = np.append(0, at[:-1] + 1).reshape(-1, width)
+        labels = [_code_labels(encoded, begins[:, i], ends[:, i]) for i in range(width - 1)]
+        # the bytes of each row's value field and its newline, without its labels
+        runs = np.diff(begins[:, :: width - 1].ravel(), append=len(raw))
+        kept = raw[np.repeat(np.tile([False, True], len(ends)), runs)]
+        fields = kept.tobytes().decode("utf-8", "surrogatepass").split("\n")[:-1]
         try:
-            columns.add([fields[i::width] for i in range(width - 1)], fields[width - 1 :: width])
+            columns.add(labels, array("d", map(float, fields)).tobytes())
         except ValueError:
             return None
         start = end + 1
@@ -269,7 +346,19 @@ def _read_rows(text: str, header: tuple[str, ...]) -> _Columns:
     width, isfinite = len(header), math.isfinite
     columns = _Columns(width - 1)
     labels: list[list[str]] = [[] for _ in range(width - 1)]
-    values: list[float] = []
+    values = array("d")
+
+    def coded(column: list[str]) -> tuple[list[str], np.ndarray]:
+        # the column's labels joined into one buffer, coded as the columnar pass codes them
+        joined = "".join(column)
+        raw = joined.encode("utf-8", "surrogatepass")
+        bounds = np.cumsum(np.fromiter(map(len, column), dtype=np.int64, count=len(column)))
+        bounds = np.append(0, bounds)
+        if len(raw) > len(joined):
+            # from character to byte offsets: the bytes that start a character, then the end
+            lead = np.flatnonzero((np.frombuffer(raw, dtype=np.uint8) & 0xC0) != 0x80)
+            bounds = np.append(lead, len(raw))[bounds]
+        return _code_labels(raw, bounds[:-1], bounds[1:])
     try:
         first = next(reader, None)
         if first is None:
@@ -291,11 +380,11 @@ def _read_rows(text: str, header: tuple[str, ...]) -> _Columns:
             for column, label in zip(labels, row):
                 column.append(label)
             if len(values) == _BLOCK_ROWS:
-                columns.add(labels, values)
-                labels, values = [[] for _ in range(width - 1)], []
+                columns.add(map(coded, labels), values.tobytes())
+                labels, values = [[] for _ in range(width - 1)], array("d")
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num}: {exc}") from None
-    columns.add(labels, values)
+    columns.add(map(coded, labels), values.tobytes())
     return columns
 
 

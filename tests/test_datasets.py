@@ -1,5 +1,6 @@
 import csv
 import os
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -259,6 +260,39 @@ CELL_ROWS = [
 PADDED_ROWS = [f" {a} ,{b}  ,{v}" for a, b, v in (row.split(",") for row in CELL_ROWS)]
 SEPARATOR_ROWS = [f"{a}\u2028x,{b},{v}" for a, b, v in (row.split(",") for row in CELL_ROWS)]
 
+
+def relabel(rows, labels, pads=(("", ""),)):
+    """``rows`` with their labels renamed through ``labels``; row i puts the
+    pair ``pads[i % len(pads)]`` before and after its a label, and after
+    and before its b label."""
+    relabelled = []
+    for i, row in enumerate(rows):
+        a, b, v = row.split(",")
+        before, after = pads[i % len(pads)]
+        relabelled.append(f"{before}{labels.get(a, a)}{after},{after}{labels.get(b, b)}{before},{v}")
+    return relabelled
+
+
+# 9 to 40 bytes, each sharing its first 8 bytes with the others
+SHARED_PREFIX = {
+    "a1": "treatment_01", "a2": "treatment_02", "a3": "treatment_" + "0" * 30,
+    "b1": "treatmen1", "b2": "treatmen2",
+}
+# 9 to 21 bytes; a surrogate escape is 3 bytes
+MULTI_BYTE = {
+    "a1": "\u03b1\u03b2\u03b3\u03b4\u03b5\u03b6", "a2": "\u65e5\u672c\u8a9e\u306e\u30e9\u30d9\u30eb",
+    "a3": "\udc80\udc81\udc82x", "b1": "\u00e9" * 5, "b2": "\u00e9" * 4 + "e",
+}
+# padding that strip() removes: one label is the same number of bytes
+# padded before or after, and different bytes
+STRIP_PADS = (("", ""), (" ", ""), ("", " "), ("\t", "\u3000"))
+
+
+def renamed(labels):
+    """The levels of the cells a1 to a3 and b1, b2 in the order the rows
+    first name them, renamed through ``labels``."""
+    return tuple(labels.get(a, a) for a in ("a2", "a1", "a3")), tuple(labels.get(b, b) for b in ("b1", "b2"))
+
 # text the columnar pass reads itself
 REGULAR = {
     "interleaved": two_way_text(CELL_ROWS),
@@ -275,6 +309,12 @@ REGULAR = {
         )
     ),
     "header-only": "a,b,value\n",
+    "shared-prefix": two_way_text(relabel(CELL_ROWS, SHARED_PREFIX)),
+    "multi-byte-wide": two_way_text(relabel(CELL_ROWS, MULTI_BYTE)),
+    "stripped-equal": two_way_text(relabel(CELL_ROWS, SHARED_PREFIX, STRIP_PADS)),
+    "stripped-equal-short": two_way_text(relabel(CELL_ROWS, {}, STRIP_PADS)),
+    # a3 is empty, and blank once
+    "empty-label": two_way_text(relabel(CELL_ROWS, {"a3": ""}, (("", ""), ("", ""), ("", " ")))),
 }
 # text that it leaves to the row reader
 IRREGULAR = {
@@ -351,6 +391,12 @@ class TestColumnarAgreesWithRowReader:
             "'a1,b1' has 4, 'a1,b2' has 2, 'a1,b3' has 2, 'a2,b3' has 5",
         )
         assert outcome(parse_two_way, REGULAR["header-only"]) == ("ParseError", "no data rows")
+        wide = outcome(parse_two_way, REGULAR["shared-prefix"])
+        assert wide == (renamed(SHARED_PREFIX), first[1])
+        assert outcome(parse_two_way, REGULAR["stripped-equal"]) == wide
+        assert outcome(parse_two_way, REGULAR["stripped-equal-short"]) == first
+        assert outcome(parse_two_way, REGULAR["multi-byte-wide"]) == (renamed(MULTI_BYTE), first[1])
+        assert outcome(parse_two_way, REGULAR["empty-label"]) == (renamed({"a3": ""}), first[1])
 
 
 # 3x2 cells, r = 4, in rows of 10 characters, so that ranges of equal
@@ -363,6 +409,9 @@ RANGED_CELLS = (
     + [("a1", "b2"), ("a2", "b2")]
 )
 RANGED_ROWS = [f"{a},{b},{i:02d}.5" for i, (a, b) in enumerate(RANGED_CELLS)]
+
+# SHARED_PREFIX with labels short enough for the field size limit of 40
+RANGED_PREFIX = {**SHARED_PREFIX, "a3": "treatment_" + "0" * 10}
 
 # text cut into ranges, with what sets them apart in a later range; the
 # field size limit is 40 while they are read
@@ -378,6 +427,15 @@ RANGED = {
         .replace("b1", "b\u00e9")
         for row in RANGED_ROWS
     ),
+    "shared-prefix": two_way_text(relabel(RANGED_ROWS, RANGED_PREFIX)),
+    "multi-byte-wide": two_way_text(relabel(RANGED_ROWS, MULTI_BYTE)),
+    # wide labels padded before in the first range, after in the second
+    "stripped-equal-wide": two_way_text(
+        relabel(RANGED_ROWS[:8], RANGED_PREFIX, ((" ", ""),))
+        + relabel(RANGED_ROWS[8:16], RANGED_PREFIX, (("", " "),))
+        + relabel(RANGED_ROWS[16:], RANGED_PREFIX)
+    ),
+    "empty-label": two_way_text(relabel(RANGED_ROWS, {"a3": ""})),
     "short-cell-across-ranges": two_way_text(RANGED_ROWS[:-1]),
     "late-bad-value": two_way_text(RANGED_ROWS[:-2] + ["a1,b2,oops", RANGED_ROWS[-1]]),
     "late-comma-count": two_way_text(RANGED_ROWS[:-1] + [RANGED_ROWS[-1] + ",9"]),
@@ -412,7 +470,11 @@ class TestRangesAgreeWithOneRange:
         no_children()
 
     @pytest.mark.parametrize(
-        "case", ["late-labels", "padded-then-plain", "non-ascii", "short-cell-across-ranges"]
+        "case",
+        [
+            "late-labels", "padded-then-plain", "non-ascii", "short-cell-across-ranges",
+            "shared-prefix", "multi-byte-wide", "stripped-equal-wide", "empty-label",
+        ],
     )
     def test_plain_text_stays_columnar(self, case, ranges, monkeypatch):
         monkeypatch.setattr(datasets, "_read_rows", refuse_rows)
@@ -425,6 +487,11 @@ class TestRangesAgreeWithOneRange:
         levels, array = outcome(parse_two_way, RANGED["non-ascii"])
         assert levels == (("\u65e5\u672c", "\u03b11", "\udc80x"), ("b\u00e9", "b2"))
         assert array == first[1]
+        wide = outcome(parse_two_way, RANGED["shared-prefix"])
+        assert wide == (renamed(RANGED_PREFIX), first[1])
+        assert outcome(parse_two_way, RANGED["stripped-equal-wide"]) == wide
+        assert outcome(parse_two_way, RANGED["multi-byte-wide"]) == (renamed(MULTI_BYTE), first[1])
+        assert outcome(parse_two_way, RANGED["empty-label"]) == (renamed({"a3": ""}), first[1])
         assert outcome(parse_two_way, RANGED["short-cell-across-ranges"]) == (
             "BalanceError",
             "unbalanced design: 1 of 6 cells lack the common replicate count 4: 'a2,b2' has 3",
@@ -490,6 +557,133 @@ class TestRangesAgreeWithOneRange:
         no_children()
 
 
+class TestRandomTexts:
+    """Seeded random two-way texts, read by the columnar pass in 1 to 3
+    ranges and in blocks of 7, 64 or 2**20 characters, and read quoted by
+    the row reader, each against a plain-Python reading of the rows."""
+
+    # pieces of labels and of their padding: ASCII, 2- and 3-byte UTF-8, a
+    # surrogate escape, and separators that str.strip removes but that end
+    # no line of a CSV
+    PIECES = ["a", "Q", "7", "_", "\u00e9", "\u65e5", "\udc80", "\u3000", "\x1c", "\x85"]
+    PADS = [" ", "\t", "\u3000", "\x1c", "\x85"]
+    # float takes the first three; the others are refused by both passes
+    ODD_VALUES = ["1_0", " 2", "\u0661\u0662", "1e400", "0x1"]
+
+    def label(self, rng):
+        """A label of 0 to 24 bytes."""
+        size, label = rng.integers(25), ""
+        while True:
+            longer = label + self.PIECES[rng.integers(len(self.PIECES))]
+            if len(longer.encode("utf-8", "surrogatepass")) > size:
+                return label
+            label = longer
+
+    def padded(self, rng, label):
+        """``label`` after 0 to 2 pads and before 0 to 2."""
+        before, after = ("".join(rng.choice(self.PADS, size=n).tolist()) for n in rng.integers(3, size=2))
+        return before + label + after
+
+    def text(self, rng):
+        """Rows of 1 to 3 levels of each factor, 1 to 3 per cell, shuffled,
+        perhaps one short; a level's rows pad its label in different ways."""
+        levels = [[self.label(rng) for _ in range(rng.integers(1, 4))] for _ in range(2)]
+        rows = [
+            ",".join([
+                *(self.padded(rng, label) if rng.random() < 0.5 else label for label in cell),
+                self.ODD_VALUES[rng.integers(5)] if rng.random() < 0.03 else repr(round(rng.normal(), 3)),
+            ])
+            for cell in product(*levels)
+            for _ in range(rng.integers(1, 4))
+        ]
+        rng.shuffle(rows)
+        return two_way_text(rows[: len(rows) - (rng.random() < 0.2)])
+
+    @staticmethod
+    def reference(text):
+        """Levels, codes and values of plain text, or None if a value is not a finite number."""
+        rows = [line.split(",") for line in text.split("\n")[1:] if line]
+        levels, codes = [{}, {}], [[], []]
+        for row in rows:
+            for level, code, label in zip(levels, codes, row):
+                code.append(level.setdefault(label.strip(), len(level)))
+        try:
+            values = [float(row[-1]) for row in rows]
+        except ValueError:
+            return None
+        return ([list(level) for level in levels], codes, values) if np.isfinite(values).all() else None
+
+    @staticmethod
+    def coded(columns):
+        return (
+            [list(level) for level in columns.levels],
+            [np.frombuffer(codes, dtype=np.int64).tolist() for codes in columns.codes],
+            columns.values.tolist(),
+        )
+
+    def test_both_passes_match_plain_python(self, no_children, monkeypatch):
+        rng = np.random.default_rng(11)
+        monkeypatch.setattr(datasets, "_FORK_CHARS", 1)
+        for _ in range(300):
+            text = self.text(rng)
+            monkeypatch.setattr(datasets, "_BLOCK_CHARS", [7, 64, 1 << 20][rng.integers(3)])
+            # forks are slow: one text in five is cut into 2 or 3 ranges
+            monkeypatch.setattr(_parallel, "cpus", lambda k=int(rng.choice(3, p=[0.8, 0.1, 0.1])) + 1: k)
+            expected = self.reference(text)
+            columnar = datasets._read_blocks(text, TWO_WAY_HEADER)
+            if expected is None:
+                assert columnar is None
+                with pytest.raises(ParseError, match="expected a finite number"):
+                    datasets._read_rows(quote_all(text), TWO_WAY_HEADER)
+            else:
+                assert self.coded(columnar) == expected
+                assert self.coded(datasets._read_rows(quote_all(text), TWO_WAY_HEADER)) == expected
+        no_children()
+
+    def test_label_coder_matches_a_dict(self):
+        """``_code_labels`` on fields from a pool of near-equal labels of 0 to
+        20 characters, with NUL, which the row reader passes on."""
+        rng = np.random.default_rng(12)
+        pieces = ["\0", "\x07", "\x08", "a", "\u00e9", "\udc80"]
+        pool = ["".join(pieces[i] for i in rng.integers(len(pieces), size=rng.integers(21))) for _ in range(60)]
+        # longer by a NUL, shorter by a character, or another last byte
+        pool += [label + "\0" for label in pool] + [label[1:] for label in pool]
+        pool += [label[:-1] + "a" for label in pool] + [label[:-1] + "\x07" for label in pool]
+        fields = [pool[i] for i in rng.integers(len(pool), size=3000)]
+        encoded = [field.encode("utf-8", "surrogatepass") for field in fields]
+        lengths = [len(field) for field in encoded]
+        ends = np.cumsum(lengths)
+        distinct, index = datasets._code_labels(b"".join(encoded), ends - lengths, ends)
+        assert distinct == list(dict.fromkeys(fields))
+        assert index.tolist() == [distinct.index(field) for field in fields]
+
+
+class TestWideLabelMemory:
+    """A label of 100,000 bytes among 30,000 short ones: both passes read it
+    as plain Python does, in memory linear in the text, not in the rows
+    times the widest label."""
+
+    def test_levels_array_and_peak(self):
+        levels = [f"L{i}" for i in range(14_999)] + ["w" * 100_000]
+        values = np.arange(2 * len(levels), dtype=float).reshape(2, -1)
+        text = "level,value\n" + "".join(
+            f"{level},{value!r}\n" for replicate in values.tolist() for level, value in zip(levels, replicate)
+        )
+        for read in (text, crlf(text)):
+            tracemalloc.start()
+            try:
+                d = parse_one_way(read)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert d.levels == tuple(levels)
+            np.testing.assert_array_equal(d.values, values.T)
+            # about 12 times the text for the columnar pass and 17 for the row
+            # pass, most of it per-row arrays and objects; a key array of
+            # rows times the widest label would be thousands of times the text
+            assert peak < 20 * len(text)
+
+
 class TestByteOrderMark:
     """A UTF-8 byte-order mark before the header, as spreadsheets that save
     "CSV UTF-8" write it, is dropped by both passes."""
@@ -547,7 +741,8 @@ class TestBalancedPlacement:
         if shuffled:
             rows = rng.permutation(rows)
         columns = datasets._Columns(2)
-        columns.add([[f"a{i}" for i in rows[:, 0]], [f"b{j}" for j in rows[:, 1]]], rng.normal(size=len(rows)))
+        names = [[f"a{i}" for i in range(sizes[0])], [f"b{j}" for j in range(sizes[1])]]
+        columns.add(zip(names, rows.T), rng.normal(size=len(rows)).tobytes())
         levels, values = columns.balanced()
         assert tuple(map(len, levels)) == sizes
         cell = np.ravel_multi_index([np.frombuffer(c, dtype=np.int64) for c in columns.codes], sizes)
