@@ -55,6 +55,8 @@ _BLOCK_ROWS = 1 << 15
 _FORK_CHARS = 1 << 22
 # the bytes of a little-endian word below each length from 0 to 7
 _LOW_BYTES = np.array([(1 << 8 * length) - 1 for length in range(8)], dtype=np.uint64)
+# the odd multiplier of the hash of a wide field's words: 2**64 over the golden ratio
+_HASH_FACTOR = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _freeze(dataset) -> None:
@@ -208,16 +210,19 @@ def _balance_error(levels: list[tuple[str, ...]], sizes: tuple[int, ...], cell) 
 
 
 def _field_keys(raw: bytes, begins: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """A 64-bit key for each field ``raw[begins[i]:ends[i]]``, equal to
-    another field's key exactly when their bytes are equal.
+    """A 64-bit key for each field ``raw[begins[i]:ends[i]]``: fields with
+    equal keys have equal bytes, and fields with equal bytes have equal
+    keys unless a 64-bit hash collides.
 
     A field of up to 7 bytes is keyed by its bytes, read as a
-    little-endian word padded with zeros, with its length in the top byte.
-    The wider fields of each length are compared as rows of
-    ``ceil(length / 8)`` such words, the last one ending where the field
-    ends, and keyed by their rank among them with the top bit set. Memory
-    stays linear in ``raw``: no array holds the widest field's words for
-    every field.
+    little-endian word padded with zeros, with its length in the top byte,
+    so it has no collision. The wider fields of each length are read as
+    ``ceil(length / 8)`` such words each, the last one ending where the
+    field ends, sorted by a hash of their words, and keyed by their run of
+    equal neighbours in that order, with the top bit set: two fields whose
+    hashes collide can split one label's fields into two keys, never join
+    two labels in one. Memory stays linear in ``raw``: no array holds the
+    widest field's words for every field.
     """
     data = np.frombuffer(raw + bytes(8), dtype=np.uint8)
     # the word of the 8 bytes from each offset of raw
@@ -227,18 +232,20 @@ def _field_keys(raw: bytes, begins: np.ndarray, ends: np.ndarray) -> np.ndarray:
     keys &= _LOW_BYTES[np.minimum(lengths, 7)]
     keys |= lengths.astype(np.uint64) << np.uint64(56)
     wide = np.flatnonzero(lengths > 7)
-    wide = wide[np.argsort(lengths[wide], kind="stable")]
-    rank = 1 << 63
+    wide = wide[np.argsort(lengths[wide])]
+    group = 1 << 63
     for rows in np.split(wide, np.flatnonzero(np.diff(lengths[wide])) + 1) if len(wide) else ():
         length = int(lengths[rows[0]])
-        table = words[begins[rows, None] + np.append(np.arange(0, length - 8, 8), length - 8)]
-        # each row of words as one item, which sorting compares byte by byte
-        order = np.argsort(table.view(f"V{table.shape[1] * 8}").ravel())
-        table = table[order]
+        # a column of words per field, the last word ending where the field ends
+        table = words[np.append(np.arange(0, length - 8, 8), length - 8)[:, None] + begins[rows]]
+        # a polynomial hash of each column's words, wrapping at 2**64
+        order = np.argsort(np.cumprod(np.full(len(table), _HASH_FACTOR)) @ table)
+        # C order, unlike table[:, order], keeps the compare below fast
+        table = np.take(table, order, axis=1)
         new = np.ones(len(order), dtype=bool)
-        new[1:] = (table[1:] != table[:-1]).any(axis=1)
-        keys[rows[order]] = np.cumsum(new, dtype=np.uint64) + np.uint64(rank - 1)
-        rank += int(np.count_nonzero(new))
+        new[1:] = (table[:, 1:] != table[:, :-1]).any(axis=0)
+        keys[rows[order]] = np.cumsum(new, dtype=np.uint64) + np.uint64(group - 1)
+        group += int(np.count_nonzero(new))
     return keys
 
 
@@ -247,7 +254,9 @@ def _code_labels(raw: bytes, begins: np.ndarray, ends: np.ndarray) -> tuple[list
     in order of first appearance, and each field's index into them.
 
     One sort of the fields' keys (``_field_keys``) brings equal fields
-    together, so a Python object is made per distinct field, not per field.
+    together, so a Python object is made per distinct key, not per field.
+    Only a hash collision between wide fields gives one field two keys,
+    and so two places in the list, which ``_Columns.add`` gives one level.
     """
     keys = _field_keys(raw, begins, ends)
     order = np.argsort(keys)
@@ -350,15 +359,11 @@ def _read_rows(text: str, header: tuple[str, ...]) -> _Columns:
 
     def coded(column: list[str]) -> tuple[list[str], np.ndarray]:
         # the column's labels joined into one buffer, coded as the columnar pass codes them
-        joined = "".join(column)
-        raw = joined.encode("utf-8", "surrogatepass")
-        bounds = np.cumsum(np.fromiter(map(len, column), dtype=np.int64, count=len(column)))
-        bounds = np.append(0, bounds)
-        if len(raw) > len(joined):
-            # from character to byte offsets: the bytes that start a character, then the end
-            lead = np.flatnonzero((np.frombuffer(raw, dtype=np.uint8) & 0xC0) != 0x80)
-            bounds = np.append(lead, len(raw))[bounds]
-        return _code_labels(raw, bounds[:-1], bounds[1:])
+        sizes = (len(label.encode("utf-8", "surrogatepass")) for label in column)
+        lengths = np.fromiter(sizes, dtype=np.int64, count=len(column))
+        ends = np.cumsum(lengths)
+        return _code_labels("".join(column).encode("utf-8", "surrogatepass"), ends - lengths, ends)
+
     try:
         first = next(reader, None)
         if first is None:

@@ -657,6 +657,33 @@ class TestRandomTexts:
         assert distinct == list(dict.fromkeys(fields))
         assert index.tolist() == [distinct.index(field) for field in fields]
 
+    def test_hash_collision_keeps_labels_apart(self):
+        """Two 16-byte labels whose word hashes collide, rows interleaved:
+        ``_code_labels`` may list a label twice but never maps a row to the
+        other label, and both passes read the two levels as plain Python does."""
+        pair = [b"treatment_000001", b"uK/+7Q?@77e60001"]
+        # the hash of a 16-byte field's two words, as _field_keys takes it
+        factor = int(datasets._HASH_FACTOR)
+        hashes = {
+            (factor * int.from_bytes(label[:8], "little") + factor**2 * int.from_bytes(label[8:], "little"))
+            % 2**64
+            for label in pair
+        }
+        assert len(hashes) == 1
+        rng = np.random.default_rng(13)
+        fields = [pair[i].decode() for i in rng.permutation(np.arange(400) % 2)]
+        lengths = [16] * len(fields)
+        ends = np.cumsum(lengths)
+        distinct, index = datasets._code_labels("".join(fields).encode(), ends - lengths, ends)
+        assert [distinct[i] for i in index] == fields
+        assert list(dict.fromkeys(distinct)) == list(dict.fromkeys(fields))
+        text = "level,value\n" + "".join(f"{field},{i}\n" for i, field in enumerate(fields))
+        for read in (text, crlf(text)):
+            d = parse_one_way(read)
+            assert d.levels == tuple(dict.fromkeys(fields))
+            for level, row in zip(d.levels, d.values):
+                assert row.tolist() == [i for i, field in enumerate(fields) if field == level]
+
 
 class TestWideLabelMemory:
     """A label of 100,000 bytes among 30,000 short ones: both passes read it
